@@ -21,7 +21,6 @@ from .bounds import (
 from .config import DEFAULT_SEED
 from .drawing import (
     GenerationState,
-    Policy,
     ReplacementPlan,
     Side,
     StructureKind,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, drawing, graphs, mesh, verify
-from .config import DEFAULT_SEED, GRAPH_GUARD
+from .config import DEFAULT_SEED, GENERATION_GUARD, GRAPH_GUARD
 from .errors import DimensionGuardError, StateInvariantError
 
 OUT_DIR_ENV = "BUBBLECROSS_OUT_DIR"
@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--output", "-o")
 
     t = sub.add_parser("trace", help="trace the replacement state machine")
-    t.add_argument("--to", type=int, required=True, help="target generation, 7..10")
+    t.add_argument("--to", type=int, required=True,
+                   help=f"target generation, 7..{GENERATION_GUARD}")
     t.add_argument("--policy", choices=sorted(drawing.POLICIES), default="fixed")
     t.add_argument("--seed", type=int, default=DEFAULT_SEED)
     t.add_argument("--split", choices=drawing.SEED_SPLITS, default="alternating")
@@ -123,8 +124,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if not 7 <= args.to <= 10:
-        raise DimensionGuardError(f"--to must lie in 7..10, got {args.to}")
+    if not 7 <= args.to <= GENERATION_GUARD:
+        raise DimensionGuardError(f"--to must lie in 7..{GENERATION_GUARD}, got {args.to}")
     policy = drawing.make_policy(args.policy, args.seed)
     gens = drawing.run_generations(args.to, policy, split=args.split)
     text = drawing.trace_csv(gens) if args.format == "csv" else drawing.snapshot_json(gens[-1])

@@ -5,7 +5,8 @@ its n - 1 edges leave the axis to the left and to the right.  Replacing
 the vertex by an (n+1)-path under one of three structures produces the
 n + 1 child states of generation n + 1.  Only the multiset of states
 feeds the bounds, and the multiset does not depend on which child loses
-which bunch, so that assignment is a pluggable policy.
+which bunch (Lemmas 4-5), so a generation steps each distinct state
+once, and the lost-side order is a plain side-order function.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import itertools
 import json
 import random
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
-from .config import DEFAULT_SEED
+from .config import DEFAULT_SEED, GENERATION_GUARD
 from .errors import DimensionGuardError, StateInvariantError
 from .perms import Perm, expand_vertex, in_bprime
 
@@ -54,6 +56,11 @@ def allowed_diffs(n: int) -> frozenset[int]:
 def in_parity_class(n: int, s: VertexState) -> bool:
     l, r = s
     return l >= 0 and r >= 0 and l + r == n - 1 and (l - r) in allowed_diffs(n)
+
+
+def legal_states(n: int) -> list[VertexState]:
+    """Every state a generation-n vertex may carry, by ascending imbalance."""
+    return [VertexState((n - 1 + d) // 2, (n - 1 - d) // 2) for d in sorted(allowed_diffs(n))]
 
 
 def choose_structure(n: int, s: VertexState) -> StructureKind:
@@ -124,63 +131,67 @@ def replace_vertex(n: int, s: VertexState, plan: ReplacementPlan) -> list[Vertex
     return children
 
 
-class Policy:
-    """Produces one replacement plan per parent; subclasses vary the order."""
+# Maps a parent (n, state) to the sides of the bunches children 2..n lose.
+SideOrder = Callable[[int, VertexState], list[Side]]
 
-    name = "base"
-
-    def __init__(self, seed: int = DEFAULT_SEED):
-        self._seed = seed
-        self._ordinal = 0
-
-    def _sides(self, n: int, s: VertexState) -> list[Side]:
-        raise NotImplementedError
-
-    def plan(self, n: int, s: VertexState) -> ReplacementPlan:
-        sides = self._sides(n, s)
-        self._ordinal += 1
-        return ReplacementPlan(
-            structure=choose_structure(n, s),
-            lost_side=dict(zip(range(2, n + 1), sides)),
-        )
+POLICIES = ("fixed", "roundrobin", "random")
 
 
-class FixedPolicy(Policy):
-    name = "fixed"
-
-    def _sides(self, n, s):
-        return [Side.LEFT] * s.l + [Side.RIGHT] * s.r
-
-
-class RoundRobinPolicy(Policy):
-    name = "roundrobin"
-
-    def _sides(self, n, s):
-        base = [Side.LEFT] * s.l + [Side.RIGHT] * s.r
-        k = self._ordinal % len(base)
-        return base[k:] + base[:k]
-
-
-class RandomPolicy(Policy):
-    name = "random"
-
-    def __init__(self, seed: int = DEFAULT_SEED):
-        super().__init__(seed)
-        self._rng = random.Random(seed)
-
-    def _sides(self, n, s):
-        base = [Side.LEFT] * s.l + [Side.RIGHT] * s.r
-        self._rng.shuffle(base)
-        return base
-
-
-POLICIES = {"fixed": FixedPolicy, "roundrobin": RoundRobinPolicy, "random": RandomPolicy}
-
-
-def make_policy(name: str, seed: int = DEFAULT_SEED) -> Policy:
+def make_policy(name: str, seed: int = DEFAULT_SEED) -> SideOrder:
+    """Side order by name: sorted, rotated one further per call, or shuffled from seed."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, pick one of {sorted(POLICIES)}")
-    return POLICIES[name](seed)
+    calls = itertools.count()
+    rng = random.Random(seed)
+
+    def sides(n: int, s: VertexState) -> list[Side]:
+        base = [Side.LEFT] * s.l + [Side.RIGHT] * s.r
+        if name == "roundrobin":
+            k = next(calls) % len(base)
+            base = base[k:] + base[:k]
+        elif name == "random":
+            rng.shuffle(base)
+        return base
+
+    return sides
+
+
+def all_plans(n: int, s: VertexState) -> Iterator[list[Side]]:
+    """Every lost-side order for state s: all C(n - 1, l) placements of the lefts."""
+    for lefts in itertools.combinations(range(n - 1), s.l):
+        yield [Side.LEFT if i in lefts else Side.RIGHT for i in range(n - 1)]
+
+
+def _plan(n: int, s: VertexState, sides: list[Side]) -> ReplacementPlan:
+    return ReplacementPlan(choose_structure(n, s), dict(zip(range(2, n + 1), sides)))
+
+
+def checked_children(n: int, s: VertexState, sides: list[Side]) -> list[VertexState]:
+    """Children of one parent under one lost-side order, after the per-parent checks.
+
+    Raises StateInvariantError naming the parent when the replacement
+    breaks arc conservation, the generation-(n+1) classes, or the
+    even-parent balanced/offset child counts.
+    """
+    children = replace_vertex(n, s, _plan(n, s, sides))
+    if sum(c.l + c.r for c in children) != n * (n + 1):
+        raise StateInvariantError(
+            f"arc conservation failed for parent {tuple(s)} at generation {n}"
+        )
+    bad = [tuple(c) for c in children if not in_parity_class(n + 1, c)]
+    if bad:
+        raise StateInvariantError(
+            f"children {bad} of parent {tuple(s)} break the generation-{n + 1} classes"
+        )
+    if n % 2 == 0:
+        zeros = sum(1 for c in children if c.diff == 0)
+        twos = sum(1 for c in children if abs(c.diff) == 2)
+        if zeros != n // 2 + 1 or twos != n // 2:
+            raise StateInvariantError(
+                f"child counts ({zeros} balanced, {twos} offset) wrong for "
+                f"parent {tuple(s)} at even generation {n}"
+            )
+    return children
 
 
 @dataclass
@@ -213,35 +224,41 @@ class GenerationState:
         return out
 
 
-SEED_SPLITS = ("alternating", "all-23", "all-32")
+_SPLIT_STATES = {
+    "alternating": (VertexState(2, 3), VertexState(3, 2)),
+    "all-23": (VertexState(2, 3),),
+    "all-32": (VertexState(3, 2),),
+}
+SEED_SPLITS = tuple(_SPLIT_STATES)
 
 
-def seed_d6(split: str = "alternating") -> GenerationState:
-    """The 120 base states at n = 6, all with |l - r| = 1.
+def seed_labeled(split: str = "alternating") -> dict[Perm, VertexState]:
+    """The 120 base states at n = 6, all with |l - r| = 1, keyed by core label.
 
     The base drawing fixes each vertex's split, but nothing downstream
     depends on more than the imbalance, so the split is a convention;
     the even mix and both extremes are offered.
     """
-    if split == "alternating":
-        states = Counter({VertexState(2, 3): 60, VertexState(3, 2): 60})
-    elif split == "all-23":
-        states = Counter({VertexState(2, 3): 120})
-    elif split == "all-32":
-        states = Counter({VertexState(3, 2): 120})
-    else:
+    if split not in _SPLIT_STATES:
         raise ValueError(f"unknown seed split {split!r}, pick one of {SEED_SPLITS}")
-    g = GenerationState(6, states)
+    states = _SPLIT_STATES[split]
+    core = (p for p in itertools.permutations(range(1, 7)) if in_bprime(p))
+    return {p: states[i % len(states)] for i, p in enumerate(core)}
+
+
+def seed_d6(split: str = "alternating") -> GenerationState:
+    """Multiset of the base states at n = 6."""
+    g = GenerationState(6, Counter(seed_labeled(split).values()))
     g.validate()
     return g
 
 
-def step_generation(g: GenerationState, policy: Policy) -> GenerationState:
+def step_generation(g: GenerationState, policy: SideOrder) -> GenerationState:
     """Replace every vertex of generation n, checking the arc invariants.
 
-    Raises StateInvariantError naming the offending parent state when a
-    replacement breaks the imbalance classes, the even-parent child
-    counts, or arc conservation.
+    Children depend only on the parent state, so each distinct state is
+    replaced once and its children count with its multiplicity.  Raises
+    StateInvariantError naming the offending parent state.
     """
     n = g.n
     out: Counter = Counter()
@@ -249,39 +266,22 @@ def step_generation(g: GenerationState, policy: Policy) -> GenerationState:
         state = VertexState(*s)
         if not in_parity_class(n, state):
             raise StateInvariantError(f"parent {tuple(state)} illegal at generation {n}")
-        for _ in range(g.states[s]):
-            children = replace_vertex(n, state, policy.plan(n, state))
-            if sum(c.l + c.r for c in children) != n * (n + 1):
-                raise StateInvariantError(
-                    f"arc conservation failed for parent {tuple(state)} at generation {n}"
-                )
-            bad = [tuple(c) for c in children if not in_parity_class(n + 1, c)]
-            if bad:
-                raise StateInvariantError(
-                    f"children {bad} of parent {tuple(state)} break the "
-                    f"generation-{n + 1} classes"
-                )
-            if n % 2 == 0:
-                zeros = sum(1 for c in children if c.diff == 0)
-                twos = sum(1 for c in children if abs(c.diff) == 2)
-                if zeros != n // 2 + 1 or twos != n // 2:
-                    raise StateInvariantError(
-                        f"child counts ({zeros} balanced, {twos} offset) wrong for "
-                        f"parent {tuple(state)} at even generation {n}"
-                    )
-            out.update(children)
+        for child in checked_children(n, state, policy(n, state)):
+            out[child] += g.states[s]
     nxt = GenerationState(n + 1, out)
     nxt.validate()
     return nxt
 
 
-def run_generations(to_n: int, policy: Policy, split: str = "alternating") -> list[GenerationState]:
+def run_generations(
+    to_n: int, policy: SideOrder, split: str = "alternating"
+) -> list[GenerationState]:
     """Generations 6..to_n inclusive, starting from the base seed."""
     if to_n < 6:
         raise ValueError(f"target generation must be >= 6, got {to_n}")
-    if to_n > 12:
+    if to_n > GENERATION_GUARD:
         raise DimensionGuardError(
-            f"target generation {to_n} walks more than 11!/6 parents; refusing"
+            f"target generation {to_n} exceeds the guard {GENERATION_GUARD}; refusing"
         )
     gens = [seed_d6(split)]
     while gens[-1].n < to_n:
@@ -289,27 +289,7 @@ def run_generations(to_n: int, policy: Policy, split: str = "alternating") -> li
     return gens
 
 
-def seed_labeled(split: str = "alternating") -> dict[Perm, VertexState]:
-    """Per-vertex variant of the base seed, keyed by the actual core labels."""
-    out = {}
-    idx = 0
-    for p in itertools.permutations(range(1, 7)):
-        if not in_bprime(p):
-            continue
-        if split == "alternating":
-            s = VertexState(2, 3) if idx % 2 == 0 else VertexState(3, 2)
-        elif split == "all-23":
-            s = VertexState(2, 3)
-        elif split == "all-32":
-            s = VertexState(3, 2)
-        else:
-            raise ValueError(f"unknown seed split {split!r}, pick one of {SEED_SPLITS}")
-        out[p] = s
-        idx += 1
-    return out
-
-
-def step_labeled(assignment: dict[Perm, VertexState], policy: Policy) -> dict[Perm, VertexState]:
+def step_labeled(assignment: dict[Perm, VertexState], policy: SideOrder) -> dict[Perm, VertexState]:
     """Per-vertex replacement: children are the actual expansions of each label.
 
     Keeping labels ties the multiset machine back to the graphs it
@@ -320,8 +300,8 @@ def step_labeled(assignment: dict[Perm, VertexState], policy: Policy) -> dict[Pe
         raise ValueError("empty assignment")
     n = len(next(iter(assignment)))
     out: dict[Perm, VertexState] = {}
-    for v in sorted(assignment):
-        children = replace_vertex(n, assignment[v], policy.plan(n, assignment[v]))
+    for v, s in sorted(assignment.items()):
+        children = replace_vertex(n, s, _plan(n, s, policy(n, s)))
         for child_label, child_state in zip(expand_vertex(v), children):
             out[child_label] = child_state
     return out

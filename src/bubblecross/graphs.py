@@ -7,8 +7,6 @@ import json
 from dataclasses import dataclass
 from math import factorial
 
-import networkx as nx
-
 from .config import GRAPH_GUARD
 from .errors import DimensionGuardError
 from .perms import CANONICAL_PATTERNS, Perm, check_perm, perm_rank, perm_unrank
@@ -171,6 +169,8 @@ def is_connected(g: LabeledGraph) -> bool:
 
 def edges_planar(edges) -> bool:
     """Planarity of an arbitrary edge list (hashable endpoints)."""
+    import networkx as nx  # imported here: planarity is its only use, and it is slow to load
+
     G = nx.Graph()
     G.add_edges_from(edges)
     ok, _ = nx.check_planarity(G, counterexample=False)
@@ -179,11 +179,7 @@ def edges_planar(edges) -> bool:
 
 def is_planar(g: LabeledGraph) -> bool:
     """Whether the graph admits a planar embedding."""
-    G = nx.Graph()
-    G.add_nodes_from(g.adj)
-    G.add_edges_from((r, q) for r, nbrs in g.adj.items() for q in nbrs if q > r)
-    ok, _ = nx.check_planarity(G, counterexample=False)
-    return ok
+    return edges_planar((r, q) for r, nbrs in g.adj.items() for q in nbrs if q > r)
 
 
 @dataclass

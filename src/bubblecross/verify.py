@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -124,38 +125,55 @@ def suite_lemma3() -> Report:
     return Report("lemma3", True, cases, lines)
 
 
-def suite_lemma45(seed: int = DEFAULT_SEED) -> Report:
-    """Replacement invariants to n = 10 under three lost-side policies.
+LEMMA45_MAX_N = 14
 
-    step_generation already enforces the per-parent checks (imbalance
-    classes, balanced/offset child counts, arc conservation); the suite
-    adds policy and seed-split independence of the imbalance profile.
+
+def suite_lemma45(seed: int = DEFAULT_SEED) -> Report:
+    """Replacement invariants over every lost-side plan, n = 6..LEMMA45_MAX_N.
+
+    Every plan of every legal state must pass the per-parent checks
+    (arc conservation, imbalance classes, balanced/offset child counts)
+    and give one child multiset, so generation multisets are policy
+    independent.  Generations traced from each seed split under the
+    seeded random policy must share one imbalance profile.
     """
     lines = []
     cases = 0
-    runs = {}
-    try:
-        for name in ("fixed", "roundrobin", "random"):
-            gens = drawing.run_generations(10, drawing.make_policy(name, seed))
-            runs[name] = [g.diff_multiset() for g in gens]
-            checked = sum(g.total for g in gens[:-1])
-            cases += checked
-            lines.append(f"lemma45: policy {name} traced to n=10 ({checked} replacements)")
-        base = runs["fixed"]
-        for name, profile in runs.items():
-            if profile != base:
-                lines.append(f"lemma45: FAIL imbalance profile diverges for policy {name}")
-                return Report("lemma45", False, cases, lines)
-        for split in ("all-23", "all-32"):
-            gens = drawing.run_generations(8, drawing.make_policy("fixed", seed), split=split)
-            cases += sum(g.total for g in gens[:-1])
-            if [g.diff_multiset() for g in gens] != base[:3]:
-                lines.append(f"lemma45: FAIL seed split {split} changes the imbalance profile")
-                return Report("lemma45", False, cases, lines)
-    except StateInvariantError as exc:
-        lines.append(f"lemma45: FAIL {exc}")
-        return Report("lemma45", False, cases, lines)
-    lines.append(f"lemma45: PASS ({cases} replacements; policy and split independent)")
+    for n in range(6, LEMMA45_MAX_N + 1):
+        before = cases
+        states = drawing.legal_states(n)
+        for s in states:
+            reference = None
+            for sides in drawing.all_plans(n, s):
+                cases += 1
+                where = f"n={n} parent {tuple(s)} plan {''.join(x.value for x in sides)}"
+                try:
+                    children = Counter(drawing.checked_children(n, s, sides))
+                except StateInvariantError as exc:
+                    lines.append(f"lemma45: FAIL {where}: {exc}")
+                    return Report("lemma45", False, cases, lines)
+                reference = reference or children
+                if children != reference:
+                    lines.append(f"lemma45: FAIL {where}: child multiset differs from "
+                                 f"the first plan's")
+                    return Report("lemma45", False, cases, lines)
+        lines.append(f"lemma45: n={n} all {cases - before} plans of {len(states)} states agree")
+    profiles = []
+    for split in drawing.SEED_SPLITS:
+        try:
+            gens = drawing.run_generations(LEMMA45_MAX_N, drawing.make_policy("random", seed),
+                                           split=split)
+        except StateInvariantError as exc:
+            lines.append(f"lemma45: FAIL seed split {split}: {exc}")
+            return Report("lemma45", False, cases, lines)
+        profiles.append([g.diff_multiset() for g in gens])
+        if profiles[-1] != profiles[0]:
+            lines.append(f"lemma45: FAIL seed split {split} changes the imbalance profile")
+            return Report("lemma45", False, cases, lines)
+    lines.append(f"lemma45: seed splits {', '.join(drawing.SEED_SPLITS)} share one imbalance "
+                 f"profile through n={LEMMA45_MAX_N} (random policy, seed {seed})")
+    lines.append(f"lemma45: PASS ({cases} lost-side plans over n=6..{LEMMA45_MAX_N}; "
+                 f"policy and seed-split independent)")
     return Report("lemma45", True, cases, lines)
 
 

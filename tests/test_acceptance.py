@@ -83,9 +83,9 @@ def test_acceptance_06_structural_checks():
 def test_acceptance_07_replacement_state_machine():
     report = verify.suite_lemma45(DEFAULT_SEED)
     _criterion(7, report.passed,
-               f"generations to n=10 under 3 policies: parity classes, per-parent "
-               f"counts, arc conservation, policy-independent profiles "
-               f"({report.cases} replacements)")
+               f"every lost-side plan of every legal state through n=14: parity "
+               f"classes, per-parent counts, arc conservation, one child multiset "
+               f"per state; seed-split independent ({report.cases} plans)")
 
 
 def test_acceptance_08_six_fold_symmetry():

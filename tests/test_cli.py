@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import bubblecross
 from bubblecross import cli
+from bubblecross.config import GENERATION_GUARD
 
 
 def run(capsys, *argv):
@@ -133,9 +139,16 @@ def test_trace_random_policy(capsys):
 
 
 def test_trace_guard(capsys):
-    code, _, err = run(capsys, "trace", "--to", "11")
+    code, _, err = run(capsys, "trace", "--to", str(GENERATION_GUARD + 1))
     assert code == 2
-    assert "7..10" in err
+    assert f"7..{GENERATION_GUARD}" in err
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = str(Path(bubblecross.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import bubblecross.cli, sys; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

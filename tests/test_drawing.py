@@ -1,10 +1,12 @@
 import itertools
 from collections import Counter
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubblecross import drawing
+from bubblecross import drawing, verify
+from bubblecross.config import GENERATION_GUARD
 from bubblecross.drawing import (
     GenerationState,
     ReplacementPlan,
@@ -167,11 +169,40 @@ def test_seed_split_preserves_imbalance_profile():
 
 def test_run_generations_guard():
     with pytest.raises(DimensionGuardError):
-        drawing.run_generations(13, drawing.make_policy("fixed"))
+        drawing.run_generations(GENERATION_GUARD + 1, drawing.make_policy("fixed"))
     with pytest.raises(ValueError):
         drawing.run_generations(5, drawing.make_policy("fixed"))
     with pytest.raises(ValueError):
         drawing.make_policy("nope")
+
+
+def test_all_plans_enumerates_every_side_order():
+    s = VertexState(3, 4)
+    plans = [tuple(p) for p in drawing.all_plans(8, s)]
+    assert len(plans) == len(set(plans)) == comb(7, 3)
+    assert all(p.count(Side.LEFT) == 3 and len(p) == 7 for p in plans)
+
+
+def test_generation_guard_reaches_the_limit():
+    g = drawing.run_generations(GENERATION_GUARD, drawing.make_policy("random"))[-1]
+    assert g.n == GENERATION_GUARD and g.total == factorial(GENERATION_GUARD) // 6
+
+
+def test_lemma45_names_the_first_broken_plan(monkeypatch):
+    target = [Side.RIGHT] * 4 + [Side.LEFT] * 4
+    original = drawing.replace_vertex
+
+    def broken(n, s, plan):
+        children = original(n, s, plan)
+        if n == 9 and s == (4, 4) and list(plan.lost_side.values()) == target:
+            c = children[0]
+            children[0] = VertexState(c.l + 1, c.r - 1)
+        return children
+
+    monkeypatch.setattr(drawing, "replace_vertex", broken)
+    report = verify.suite_lemma45()
+    assert not report.passed
+    assert report.lines[-1].startswith("lemma45: FAIL n=9 parent (4, 4) plan RRRRLLLL")
 
 
 def test_generation_state_validate():
@@ -183,18 +214,20 @@ def test_generation_state_validate():
         bad.validate()
 
 
-def test_labeled_step_covers_next_core():
+@pytest.mark.parametrize("n", [7, 8])
+def test_labeled_step_covers_next_core(n):
     assign = drawing.seed_labeled()
     assert len(assign) == 120
     policy = drawing.make_policy("fixed")
-    nxt = drawing.step_labeled(assign, policy)
-    assert len(nxt) == 840
-    assert set(nxt) == {
-        p for p in itertools.permutations(range(1, 8)) if in_bprime(p)
+    for _ in range(6, n):
+        assign = drawing.step_labeled(assign, policy)
+    assert len(assign) == factorial(n) // 6
+    assert set(assign) == {
+        p for p in itertools.permutations(range(1, n + 1)) if in_bprime(p)
     }
     # label-level states agree with the multiset machine
-    multiset = drawing.step_generation(drawing.seed_d6(), drawing.make_policy("fixed"))
-    assert Counter(nxt.values()) == multiset.states
+    multiset = drawing.run_generations(n, drawing.make_policy("fixed"))[-1]
+    assert Counter(assign.values()) == multiset.states
 
 
 def test_trace_csv_shape():
