@@ -2,8 +2,8 @@
 """Run every verification suite plus the bound table and print a summary.
 
 Exits nonzero if any suite fails or the table's three evaluations ever
-disagree.  The heavy suite is the exhaustive worst-case search at n=10;
-the whole run takes a few seconds.
+disagree.  The heavy suite is lemma45, the sweep over every lost-side plan
+through n=14; the whole run takes a few seconds.
 """
 
 import sys
@@ -21,7 +21,8 @@ def main() -> int:
         for line in report.lines:
             print(line)
         seconds = time.perf_counter() - start
-        print(f"{name}: {'ok' if report.passed else 'FAILED'} in {seconds:.1f}s")
+        print(f"{name}: {'ok' if report.passed else 'FAILED'} ({report.cases} cases) "
+              f"in {seconds:.1f}s")
         failures += 0 if report.passed else 1
 
     rows = bounds.bound_table(30)

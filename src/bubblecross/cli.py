@@ -3,7 +3,8 @@ bound tables, and generation traces.
 
 Exit codes: 0 on success, 1 when a property or invariant check fails,
 2 for usage and configuration errors.  Identical invocations (including
-the seed) produce byte-identical artifacts.
+the seed) produce byte-identical artifacts, and a failed write leaves no
+partial file.
 """
 
 from __future__ import annotations
@@ -73,7 +74,21 @@ def _emit(text: str, path: str | None) -> None:
         if base:
             p = Path(base) / p
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text, encoding="utf-8", newline="")
+    if p.exists() and not p.is_file():
+        # A device or pipe (/dev/null, /dev/stdout, a FIFO) takes the bytes
+        # in place; renaming over it would replace the node itself.
+        p.write_text(text, encoding="utf-8", newline="")
+        return
+    # Write beside the target and rename over it, so a failed write leaves
+    # neither a partial artifact nor the temporary file.
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_graph(args) -> int:

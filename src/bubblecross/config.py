@@ -5,7 +5,8 @@ DEFAULT_SEED = 1729
 # Full graph materialization walks n! vertices; 10! is the desk-scale ceiling.
 GRAPH_GUARD = 10
 
-# Exhaustive mesh search walks (n-2)! lost-anchor sequences.
+# Exhaustive mesh search covers all (n-2)! lost-anchor sequences; its
+# costliest splits (a = 0 or n - 2) walk (n-2)! orderings of one side.
 ENUMERATION_GUARD = 11
 
 # The state machine steps each distinct state (at most three per

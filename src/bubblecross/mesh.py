@@ -255,20 +255,40 @@ def mesh_max(n: int, a: int) -> int:
     return int(val)
 
 
+def _best_order(n: int, ks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Largest section total over every ordering of ks, with the
+    lexicographically first ordering that reaches it."""
+    best, first = -1, ()
+    for order in itertools.permutations(ks):
+        t = _section_total(n, order)
+        if t > best:
+            best, first = t, order
+    return best, first
+
+
 def exhaustive_max(n: int, a: int, guard: int = ENUMERATION_GUARD) -> tuple[int, MeshSpec]:
     """Maximum of the formula count over every lost-anchor sequence.
 
-    Walks all (n-2)! permutations in lexicographic order and keeps the
-    first maximizer, so the witness is the lexicographically smallest.
+    No pair crosses between sides, so the total is the left section's
+    count plus the right one's.  For each left set S of a anchors, every
+    ordering of S and every ordering of the remaining anchors is
+    evaluated, which covers all (n-2)! sequences through C(n-2, a) *
+    (a! + (n-2-a)!) side orderings.  Nothing relies on Lemma 2 or the
+    closed forms.  Ties keep the lexicographically smallest sequence, so
+    the witness is the first maximizer in lexicographic order.
     """
     if n > guard:
         raise DimensionGuardError(f"n={n} exceeds enumeration guard {guard}")
     MeshSpec(n, a, tuple(range(2, n)))  # validates n and a
     best = -1
     witness = None
-    for P in itertools.permutations(range(2, n)):
-        t = _section_total(n, P[:a]) + _section_total(n, P[a:])
-        if t > best:
+    for left in itertools.combinations(range(2, n), a):
+        right = tuple(k for k in range(2, n) if k not in left)
+        left_max, left_order = _best_order(n, left)
+        right_max, right_order = _best_order(n, right)
+        t = left_max + right_max
+        P = left_order + right_order
+        if t > best or (t == best and P < witness):
             best, witness = t, P
     return best, MeshSpec(n, a, witness)
 

@@ -31,7 +31,7 @@ def test_acceptance_02_sorted_sections_dominate():
 def test_acceptance_03_worst_case_maxima():
     report = verify.suite_lemma3()
     _criterion(3, report.passed,
-               "exhaustive maxima equal closed forms: 70, 142, 166, 280 and n=10 splits")
+               "exhaustive maxima equal closed forms: 70, 142, 166, 280 and n=10, 11 splits")
 
 
 def test_acceptance_04_bound_pipeline_triple_equality():

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,30 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
                      "--format", "json", "-o", "spec.json")
     assert code == 0
     assert (tmp_path / "spec.json").exists()
+
+
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, "bounds", "--n-max", "9", "-o", str(tmp_path / "b.csv"))
+    assert code == 2
+    assert "disk full" in err and "wrote" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_to_a_pipe_writes_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run(capsys, "bounds", "--n-max", "9", "-o", str(fifo))
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0 and data.startswith(b"n,bound")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_missing_subcommand_usage_error(capsys):

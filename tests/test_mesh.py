@@ -202,6 +202,23 @@ def test_exhaustive_max_matches_closed_form_n9():
     assert mesh.total_crossings(witness) == 280
 
 
+def _first_maximizer(n, a):
+    best, witness = -1, None
+    for P in itertools.permutations(range(2, n)):
+        t = mesh.total_crossings(mesh.MeshSpec(n, a, P))
+        if t > best:
+            best, witness = t, P
+    return best, witness
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_exhaustive_max_first_maximizer(n):
+    # every split, including the unbalanced ones the closed forms reject
+    for a in range(0, n - 1):
+        best, witness = mesh.exhaustive_max(n, a)
+        assert (best, witness.P) == _first_maximizer(n, a), (n, a)
+
+
 def test_exhaustive_max_guard():
     with pytest.raises(DimensionGuardError):
         mesh.exhaustive_max(12, 3)
