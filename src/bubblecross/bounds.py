@@ -170,10 +170,10 @@ class BoundRow:
         return self.nu_recurrence
 
 
-def bound_table(n_max: int, limit: int = TABLE_LIMIT) -> list[BoundRow]:
+def bound_table(n_max: int) -> list[BoundRow]:
     """Rows for n = 7..n_max; the three evaluations must agree exactly."""
-    if not 7 <= n_max <= limit:
-        raise ValueError(f"n_max must lie in [7, {limit}], got {n_max}")
+    if not 7 <= n_max <= TABLE_LIMIT:
+        raise ValueError(f"n_max must lie in [7, {TABLE_LIMIT}], got {n_max}")
     rows = []
     vprime = NU_DPRIME6
     for k in range(6, n_max):

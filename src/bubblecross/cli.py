@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, drawing, graphs, mesh, verify
-from .config import DEFAULT_SEED, GENERATION_GUARD, GRAPH_GUARD
+from .config import DEFAULT_SEED, GENERATION_GUARD
 from .errors import DimensionGuardError, StateInvariantError
 
 OUT_DIR_ENV = "BUBBLECROSS_OUT_DIR"
@@ -34,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--bprime", action="store_true", help="export the sixth-part subgraph")
     g.add_argument("--format", choices=("dot", "json"), default="dot")
-    g.add_argument("--guard", type=int, default=GRAPH_GUARD, help="materialization cap on n")
     g.add_argument("--output", "-o", help="file path; stdout when omitted")
 
     m = sub.add_parser("mesh", help="count crossings of one mesh, optionally rendering it")
@@ -93,7 +92,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_graph(args) -> int:
     builder = graphs.build_bprime if args.bprime else graphs.build_bn
-    g = builder(args.n, guard=args.guard)
+    g = builder(args.n)
     text = graphs.to_dot(g) if args.format == "dot" else graphs.to_json(g)
     _emit(text, args.output)
     if args.output is not None:

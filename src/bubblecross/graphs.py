@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 from .config import GRAPH_GUARD
 from .errors import DimensionGuardError
-from .perms import CANONICAL_PATTERNS, Perm, check_perm, perm_rank, perm_unrank
+from .perms import Perm, check_perm, perm_rank
 
 
 def label_str(p: Perm) -> str:
@@ -18,9 +19,7 @@ def label_str(p: Perm) -> str:
     Digit concatenation is ambiguous once two-digit symbols appear, so
     n >= 10 switches to comma-separated entries.
     """
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
+    return ("" if len(p) <= 9 else ",").join(map(str, p))
 
 
 class LabeledGraph:
@@ -37,7 +36,6 @@ class LabeledGraph:
         self.n = n
         self.adj = adj
         self.core = core
-        self._labels: dict[int, Perm] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -47,17 +45,19 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return sum(len(v) for v in self.adj.values()) // 2
 
-    def _label_map(self) -> dict[int, Perm]:
-        if self._labels is None:
-            self._labels = {r: perm_unrank(r, self.n) for r in self.adj}
-        return self._labels
+    @cached_property
+    def _labels(self) -> dict[int, Perm]:
+        """Rank -> label of every vertex, in rank order.  permutations() runs
+        in rank order too, so its kept labels line up with the sorted ranks."""
+        perms = enumerate(itertools.permutations(range(1, self.n + 1)))
+        return dict(zip(sorted(self.adj), (p for r, p in perms if r in self.adj)))
 
-    def label(self, rank: int) -> Perm:
-        return self._label_map()[rank]
+    def _edges(self):
+        """Edges as rank pairs (r, q) with r < q, in lexicographic order."""
+        return ((r, q) for r in sorted(self.adj) for q in self.adj[r] if q > r)
 
     def vertices(self) -> list[Perm]:
-        labels = self._label_map()
-        return [labels[r] for r in sorted(self.adj)]
+        return list(self._labels.values())
 
     def _rank_in(self, p) -> int:
         t = check_perm(p)
@@ -72,8 +72,7 @@ class LabeledGraph:
         return len(self.adj[self._rank_in(p)])
 
     def neighbors_of(self, p) -> list[Perm]:
-        labels = self._label_map()
-        return [labels[q] for q in self.adj[self._rank_in(p)]]
+        return [self._labels[q] for q in self.adj[self._rank_in(p)]]
 
     def has_edge(self, u, v) -> bool:
         tu, tv = check_perm(u), check_perm(v)
@@ -88,65 +87,70 @@ class LabeledGraph:
 
     def edge_pairs(self) -> list[tuple[Perm, Perm]]:
         """Edges as canonical label pairs, lexicographically sorted."""
-        labels = self._label_map()
-        out = []
-        for r in sorted(self.adj):
-            for q in self.adj[r]:
-                if q > r:
-                    out.append((labels[r], labels[q]))
-        return out
+        labels = self._labels
+        return [(labels[r], labels[q]) for r, q in self._edges()]
 
 
-def _check_dims(n: int, guard: int, minimum: int = 2) -> None:
+def _swap_rank(r: int, c: tuple[int, ...], i: int, place: list[int]) -> int:
+    """Rank after swapping positions i, i + 1 of the permutation with rank r
+    and Lehmer code c, digit i weighing place[i] = (n - 1 - i)!.  Only digits
+    i and i + 1 change: an ascent (c[i] <= c[i + 1]) becomes
+    (c[i + 1] + 1, c[i]) and a descent becomes (c[i + 1], c[i] - 1)."""
+    a, b = c[i], c[i + 1]
+    if a <= b:
+        return r + (b + 1 - a) * place[i] + (a - b) * place[i + 1]
+    return r + (b - a) * place[i] + (a - 1 - b) * place[i + 1]
+
+
+def _adjacency(n: int, swaps, minimum: int = 2) -> dict[int, tuple[int, ...]]:
+    """The one walk over the permutations p of 1..n, in rank order: p gets
+    the sorted ranks reached by swapping positions i, i + 1 for each i in
+    swaps(p), and is left out when swaps(p) is empty."""
     if n < minimum:
         raise ValueError(f"need n >= {minimum}, got {n}")
-    if n > guard:
+    if n > GRAPH_GUARD:
         raise DimensionGuardError(
-            f"n={n} exceeds the guard {guard} ({factorial(n)} vertices would be built)"
+            f"n={n} exceeds the guard {GRAPH_GUARD} ({factorial(n)} vertices would be built)"
         )
-
-
-def build_bn(n: int, guard: int = GRAPH_GUARD) -> LabeledGraph:
-    """The bubble-sort graph on all n! permutations of 1..n."""
-    _check_dims(n, guard)
-    perms_list = list(itertools.permutations(range(1, n + 1)))  # lex order == rank order
-    rank = {p: r for r, p in enumerate(perms_list)}
+    place = [factorial(n - 1 - i) for i in range(n)]
+    ranks = list(range(factorial(n)))  # one int object per rank, shared by every row
+    # permutations() and the Lehmer codes both come out in lexicographic order.
+    codes = itertools.product(*(range(k) for k in range(n, 0, -1)))
     adj: dict[int, tuple[int, ...]] = {}
-    for r, p in enumerate(perms_list):
-        work = list(p)
-        row = []
-        for i in range(n - 1):
-            work[i], work[i + 1] = work[i + 1], work[i]
-            row.append(rank[tuple(work)])
-            work[i], work[i + 1] = work[i + 1], work[i]
-        row.sort()
-        adj[r] = tuple(row)
-    return LabeledGraph(n, adj)
+    for r, p, c in zip(ranks, itertools.permutations(range(1, n + 1)), codes):
+        if keep := swaps(p):
+            adj[r] = tuple(sorted(ranks[_swap_rank(r, c, i, place)] for i in keep))
+    return adj
 
 
-def build_bprime(n: int, guard: int = GRAPH_GUARD) -> LabeledGraph:
+def build_bn(n: int) -> LabeledGraph:
+    """The bubble-sort graph on all n! permutations of 1..n."""
+    return LabeledGraph(n, _adjacency(n, lambda p: range(n - 1)))
+
+
+def _bprime_swaps(p: Perm):
+    """Swap positions of p whose edges B'_n keeps: all of them when p is
+    core (1, 2, 3 in increasing order), else those making it core.  Only a
+    swap of two symbols <= 3 reorders 1, 2, 3, and one sorts them only from
+    the orders 2 1 3 and 1 3 2, swapping the adjacent pair 2 1 or 3 2."""
+    i1, i2, i3 = p.index(1), p.index(2), p.index(3)
+    if i1 < i2 < i3:
+        return range(len(p) - 1)
+    if i2 + 1 == i1 < i3:
+        return (i2,)
+    if i1 < i3 == i2 - 1:
+        return (i3,)
+    return ()
+
+
+def build_bprime(n: int) -> LabeledGraph:
     """The sixth-part subgraph: edges keep at least one core endpoint.
 
     Vertices are the n!/6 core labels plus every neighbour an included
     edge reaches; each core vertex keeps its full degree n - 1.
     """
-    _check_dims(n, guard, minimum=6)
-    perms_list = list(itertools.permutations(range(1, n + 1)))
-    rank = {p: r for r, p in enumerate(perms_list)}
-    core = frozenset(
-        r for r, p in enumerate(perms_list)
-        if tuple(v for v in p if v <= 4) in CANONICAL_PATTERNS
-    )
-    nbr_sets: dict[int, set[int]] = {}
-    for r in core:
-        work = list(perms_list[r])
-        for i in range(n - 1):
-            work[i], work[i + 1] = work[i + 1], work[i]
-            q = rank[tuple(work)]
-            work[i], work[i + 1] = work[i + 1], work[i]
-            nbr_sets.setdefault(r, set()).add(q)
-            nbr_sets.setdefault(q, set()).add(r)
-    adj = {r: tuple(sorted(s)) for r, s in nbr_sets.items()}
+    adj = _adjacency(n, _bprime_swaps, minimum=6)
+    core = frozenset(r for r, row in adj.items() if len(row) == n - 1)  # others keep one
     return LabeledGraph(n, adj, core=core)
 
 
@@ -179,7 +183,7 @@ def edges_planar(edges) -> bool:
 
 def is_planar(g: LabeledGraph) -> bool:
     """Whether the graph admits a planar embedding."""
-    return edges_planar((r, q) for r, nbrs in g.adj.items() for q in nbrs if q > r)
+    return edges_planar(g._edges())
 
 
 @dataclass
@@ -197,7 +201,7 @@ class SymmetryResult:
         return len(next(iter(self.classes.values())))
 
 
-def symmetry_classes(n: int, guard: int = GRAPH_GUARD) -> SymmetryResult:
+def symmetry_classes(n: int) -> SymmetryResult:
     """Partition vertices by the order of the symbols 1..3 and verify that
     the six sector subgraphs are isomorphic under symbol relabeling.
 
@@ -208,38 +212,28 @@ def symmetry_classes(n: int, guard: int = GRAPH_GUARD) -> SymmetryResult:
     """
     if n < 4:
         raise ValueError(f"need n >= 4 for the pattern classes, got {n}")
-    if n > guard:
-        raise DimensionGuardError(f"n={n} exceeds the guard {guard}")
+    g = build_bn(n)
     orders = list(itertools.permutations((1, 2, 3)))
-    cores: dict[Perm, set[Perm]] = {o: set() for o in orders}
+    order_of = {p: tuple(v for v in p if v <= 3) for p in g.vertices()}
+    cores = {o: {p for p, op in order_of.items() if op == o} for o in orders}
     sectors: dict[Perm, set[frozenset[Perm]]] = {o: set() for o in orders}
-    for p in itertools.permutations(range(1, n + 1)):
-        op = tuple(v for v in p if v <= 3)
-        cores[op].add(p)
-        for i in range(n - 1):
-            if p[i] < p[i + 1]:  # visit each undirected edge once
-                q = p[:i] + (p[i + 1], p[i]) + p[i + 2:]
-                e = frozenset((p, q))
-                sectors[op].add(e)
-                oq = tuple(v for v in q if v <= 3)
-                if oq != op:
-                    sectors[oq].add(e)
+    for u, v in g.edge_pairs():
+        e = frozenset((u, v))
+        sectors[order_of[u]].add(e)
+        sectors[order_of[v]].add(e)
 
     witness_maps: dict[tuple[Perm, Perm], dict[int, int]] = {}
     all_iso = True
-    for o1 in orders:
-        for o2 in orders:
-            if o1 == o2:
-                continue
-            phi = {o1[k]: o2[k] for k in range(3)}
-            witness_maps[(o1, o2)] = phi
-            mapped_core = {tuple(phi.get(v, v) for v in p) for p in cores[o1]}
-            mapped_edges = {
-                frozenset(tuple(phi.get(v, v) for v in p) for p in e)
-                for e in sectors[o1]
-            }
-            if mapped_core != cores[o2] or mapped_edges != sectors[o2]:
-                all_iso = False
+    for o1, o2 in itertools.permutations(orders, 2):
+        phi = {o1[k]: o2[k] for k in range(3)}
+        witness_maps[(o1, o2)] = phi
+        mapped_core = {tuple(phi.get(v, v) for v in p) for p in cores[o1]}
+        mapped_edges = {
+            frozenset(tuple(phi.get(v, v) for v in p) for p in e)
+            for e in sectors[o1]
+        }
+        if mapped_core != cores[o2] or mapped_edges != sectors[o2]:
+            all_iso = False
     return SymmetryResult(
         n=n,
         classes={o: frozenset(c) for o, c in cores.items()},
@@ -249,24 +243,29 @@ def symmetry_classes(n: int, guard: int = GRAPH_GUARD) -> SymmetryResult:
     )
 
 
-def to_dot(g: LabeledGraph, name: str | None = None) -> str:
+def _label_strings(g: LabeledGraph) -> dict[int, str]:
+    """Rank -> export form of every vertex label, each rendered once, in rank order."""
+    return {r: label_str(p) for r, p in g._labels.items()}
+
+
+def to_dot(g: LabeledGraph) -> str:
     """DOT text with lexicographically sorted vertices and edges."""
-    gname = name or (f"Bprime{g.n}" if g.core is not None else f"B{g.n}")
-    lines = [f"graph {gname} {{"]
-    for p in g.vertices():
-        lines.append(f'  "{label_str(p)}";')
-    for u, v in g.edge_pairs():
-        lines.append(f'  "{label_str(u)}" -- "{label_str(v)}";')
+    name = f"Bprime{g.n}" if g.core is not None else f"B{g.n}"
+    s = _label_strings(g)
+    lines = [f"graph {name} {{"]
+    lines += [f'  "{label}";' for label in s.values()]
+    lines += [f'  "{s[r]}" -- "{s[q]}";' for r, q in g._edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def to_json(g: LabeledGraph) -> str:
     """JSON text with sorted keys and lexicographic vertex and edge order."""
+    s = _label_strings(g)
     payload = {
         "n": g.n,
-        "vertices": [label_str(p) for p in g.vertices()],
-        "edges": [[label_str(u), label_str(v)] for u, v in g.edge_pairs()],
+        "vertices": list(s.values()),
+        "edges": [[s[r], s[q]] for r, q in g._edges()],
     }
     if g.core is not None:
         payload["core_count"] = len(g.core)

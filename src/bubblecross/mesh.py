@@ -266,7 +266,7 @@ def _best_order(n: int, ks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return best, first
 
 
-def exhaustive_max(n: int, a: int, guard: int = ENUMERATION_GUARD) -> tuple[int, MeshSpec]:
+def exhaustive_max(n: int, a: int) -> tuple[int, MeshSpec]:
     """Maximum of the formula count over every lost-anchor sequence.
 
     No pair crosses between sides, so the total is the left section's
@@ -277,8 +277,8 @@ def exhaustive_max(n: int, a: int, guard: int = ENUMERATION_GUARD) -> tuple[int,
     closed forms.  Ties keep the lexicographically smallest sequence, so
     the witness is the first maximizer in lexicographic order.
     """
-    if n > guard:
-        raise DimensionGuardError(f"n={n} exceeds enumeration guard {guard}")
+    if n > ENUMERATION_GUARD:
+        raise DimensionGuardError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
     MeshSpec(n, a, tuple(range(2, n)))  # validates n and a
     best = -1
     witness = None

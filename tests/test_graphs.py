@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 from math import factorial
 
@@ -33,15 +35,14 @@ def test_bn_guard():
         graphs.build_bn(12)
     with pytest.raises(ValueError):
         graphs.build_bn(1)
-    # the guard is overridable
-    assert graphs.build_bn(4, guard=4).vertex_count == 24
 
 
-def test_bn_adjacency_matches_neighbors():
-    g = graphs.build_bn(4)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_bn_adjacency_matches_neighbors(n):
+    g = graphs.build_bn(n)
     for p in g.vertices():
         assert sorted(g.neighbors_of(p)) == sorted(perms.neighbors(p))
-        assert g.degree_of(p) == 3
+        assert g.degree_of(p) == n - 1
 
 
 def test_bprime_structure():
@@ -68,6 +69,21 @@ def test_bprime_core_count_n7():
 def test_bprime_needs_n6():
     with pytest.raises(ValueError):
         graphs.build_bprime(5)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_bprime_matches_swap_reference(n):
+    # Reference built from perms alone, without the graph's rank walk.
+    core = set()
+    edges = set()
+    for p in itertools.permutations(range(1, n + 1)):
+        if perms.in_bprime(p):
+            core.add(perms.perm_rank(p))
+            edges.update(frozenset((p, q)) for q in perms.neighbors(p))
+    g = graphs.build_bprime(n)
+    assert g.core == core
+    assert {frozenset(e) for e in g.edge_pairs()} == edges
+    assert g.edge_count == len(edges)
 
 
 def test_bprime_matches_canonical_sector():
@@ -150,6 +166,16 @@ def test_exports_deterministic():
     b = graphs.to_json(graphs.build_bn(4))
     assert a == b
     assert graphs.to_dot(graphs.build_bn(3)) == graphs.to_dot(graphs.build_bn(3))
+
+
+@pytest.mark.parametrize("text,sha256", [
+    (lambda: graphs.to_dot(graphs.build_bn(5)),
+     "34a69b3578aa625b4fc77b407c0392c409c05c39525d744709eab2bb047cae6e"),
+    (lambda: graphs.to_json(graphs.build_bprime(7)),
+     "9d1427ec830ba7296d83353ebb79bed84129c2ae1df558e89662465c570d6993"),
+], ids=["bn5.dot", "bprime7.json"])
+def test_export_bytes_pinned(text, sha256):
+    assert hashlib.sha256(text().encode("utf-8")).hexdigest() == sha256
 
 
 def test_has_edge_and_membership_errors():
