@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -188,13 +187,21 @@ def is_planar(g: LabeledGraph) -> bool:
 
 @dataclass
 class SymmetryResult:
-    """Six-way class partition with explicit relabeling witnesses."""
+    """Six-way class partition with explicit relabeling witnesses.
+
+    mismatch is the first ordered class pair (o1, o2) whose relabeled core
+    or sector differs from that of o2, or None when all six agree.
+    """
 
     n: int
     classes: dict[Perm, frozenset[Perm]]
     sector_edges: dict[Perm, frozenset[frozenset[Perm]]]
     witness_maps: dict[tuple[Perm, Perm], dict[int, int]]
-    all_isomorphic: bool
+    mismatch: tuple[Perm, Perm] | None
+
+    @property
+    def all_isomorphic(self) -> bool:
+        return self.mismatch is None
 
     @property
     def class_size(self) -> int:
@@ -208,7 +215,9 @@ def symmetry_classes(n: int) -> SymmetryResult:
     The sector of a class takes every edge with at least one endpoint in
     the class; the witness map sending class s to class t relabels symbol
     s[k] to t[k] and fixes everything above 3, which is an automorphism
-    of the whole graph.
+    of the whole graph.  Every one of the 30 ordered pairs is compared;
+    the five distinct maps are each shared by six pairs, so each vertex
+    is relabeled once per map.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 for the pattern classes, got {n}")
@@ -223,29 +232,38 @@ def symmetry_classes(n: int) -> SymmetryResult:
         sectors[order_of[v]].add(e)
 
     witness_maps: dict[tuple[Perm, Perm], dict[int, int]] = {}
-    all_iso = True
+    images: dict[tuple[int, ...], dict[Perm, Perm]] = {}  # images of 1, 2, 3 -> relabeling
+    mismatch = None
     for o1, o2 in itertools.permutations(orders, 2):
         phi = {o1[k]: o2[k] for k in range(3)}
         witness_maps[(o1, o2)] = phi
-        mapped_core = {tuple(phi.get(v, v) for v in p) for p in cores[o1]}
-        mapped_edges = {
-            frozenset(tuple(phi.get(v, v) for v in p) for p in e)
-            for e in sectors[o1]
-        }
-        if mapped_core != cores[o2] or mapped_edges != sectors[o2]:
-            all_iso = False
+        key = (phi[1], phi[2], phi[3])
+        if key not in images:
+            images[key] = {p: tuple(phi.get(v, v) for v in p) for p in order_of}
+        image = images[key]
+        mapped_core = {image[p] for p in cores[o1]}
+        mapped_edges = {frozenset((image[u], image[v])) for u, v in sectors[o1]}
+        if (mapped_core != cores[o2] or mapped_edges != sectors[o2]) and mismatch is None:
+            mismatch = (o1, o2)
     return SymmetryResult(
         n=n,
         classes={o: frozenset(c) for o, c in cores.items()},
         sector_edges={o: frozenset(s) for o, s in sectors.items()},
         witness_maps=witness_maps,
-        all_isomorphic=all_iso,
+        mismatch=mismatch,
     )
 
 
 def _label_strings(g: LabeledGraph) -> dict[int, str]:
-    """Rank -> export form of every vertex label, each rendered once, in rank order."""
-    return {r: label_str(p) for r, p in g._labels.items()}
+    """Rank -> export form of every vertex label, each rendered once, in rank
+    order.  Permuting the symbol strings and joining them gives label_str's
+    text without building the label tuples."""
+    adj = g.adj
+    sep = "" if g.n <= 9 else ","
+    symbols = itertools.permutations([str(k) for k in range(1, g.n + 1)])
+    return {r: sep.join(p)
+            for r, p in enumerate(itertools.islice(symbols, max(adj, default=-1) + 1))
+            if r in adj}
 
 
 def to_dot(g: LabeledGraph) -> str:
@@ -259,14 +277,42 @@ def to_dot(g: LabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(g: LabeledGraph) -> str:
-    """JSON text with sorted keys and lexicographic vertex and edge order."""
+def _json_pieces(g: LabeledGraph):
+    """to_json's text in pieces that share the label strings, so joining
+    them builds no string per edge.  Each list item follows its separator;
+    a list that got no item closes as []."""
     s = _label_strings(g)
-    payload = {
-        "n": g.n,
-        "vertices": list(s.values()),
-        "edges": [[s[r], s[q]] for r, q in g._edges()],
-    }
+    yield "{\n"
     if g.core is not None:
-        payload["core_count"] = len(g.core)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        yield f'  "core_count": {len(g.core)},\n'
+    yield '  "edges": ['
+    sep = "\n"
+    for r, q in g._edges():
+        yield sep
+        yield '    [\n      "'
+        yield s[r]
+        yield '",\n      "'
+        yield s[q]
+        yield '"\n    ]'
+        sep = ",\n"
+    yield "]" if sep == "\n" else "\n  ]"
+    yield f',\n  "n": {g.n},\n  "vertices": ['
+    sep = "\n"
+    for label in s.values():
+        yield sep
+        yield '    "'
+        yield label
+        yield '"'
+        sep = ",\n"
+    yield "]" if sep == "\n" else "\n  ]"
+    yield "\n}\n"
+
+
+def to_json(g: LabeledGraph) -> str:
+    """JSON text with sorted keys and lexicographic vertex and edge order.
+
+    Written directly, byte-identical to json.dumps(payload, sort_keys=True,
+    indent=2) + "\n"; labels hold only digits and commas, so nothing needs
+    escaping.
+    """
+    return "".join(_json_pieces(g))

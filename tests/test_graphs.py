@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from bubblecross import graphs, perms
+from bubblecross import graphs, perms, verify
 from bubblecross.errors import DimensionGuardError
 
 
@@ -106,6 +106,34 @@ def test_symmetry_classes(n):
         assert mapped == set(res.classes[o2])
 
 
+def _bn5_without_first_edge():
+    g = graphs.build_bn(5)
+    q = g.adj[0][0]
+    adj = dict(g.adj)
+    adj[0] = tuple(r for r in adj[0] if r != q)
+    adj[q] = tuple(r for r in adj[q] if r != 0)
+    return graphs.LabeledGraph(5, adj)
+
+
+def test_symmetry_detects_a_missing_edge(monkeypatch):
+    # 12345 -- 21345 lies in the sectors of 123 and 213 only, so the first
+    # pair in order, 123 onto 132, already sees one sector edge too few.
+    broken = _bn5_without_first_edge()
+    monkeypatch.setattr(graphs, "build_bn", lambda n: broken)
+    res = graphs.symmetry_classes(5)
+    assert not res.all_isomorphic
+    assert res.mismatch == ((1, 2, 3), (1, 3, 2))
+
+
+def test_symmetry_suite_names_the_failing_pair(monkeypatch):
+    real, broken = graphs.build_bn, _bn5_without_first_edge()
+    monkeypatch.setattr(graphs, "build_bn", lambda n: broken if n == 5 else real(n))
+    report = verify.suite_symmetry()
+    assert not report.passed
+    assert report.lines[-1] == ("symmetry: FAIL at n=5: class (1, 2, 3) relabeled "
+                                "onto (1, 3, 2) differs in core or sector")
+
+
 def test_symmetry_guard():
     with pytest.raises(ValueError):
         graphs.symmetry_classes(3)
@@ -161,6 +189,29 @@ def test_json_export_core_metadata():
     assert len(data["vertices"]) == 240
 
 
+def _reference_json(g):
+    payload = {
+        "n": g.n,
+        "vertices": [graphs.label_str(p) for p in g.vertices()],
+        "edges": [[graphs.label_str(u), graphs.label_str(v)] for u, v in g.edge_pairs()],
+    }
+    if g.core is not None:
+        payload["core_count"] = len(g.core)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: graphs.build_bn(n) for n in range(2, 8)),
+    *(lambda n=n: graphs.build_bprime(n) for n in range(6, 9)),
+    lambda: graphs.LabeledGraph(4, {0: ()}),
+    lambda: graphs.LabeledGraph(10, {0: (1,), 1: (0,)}),
+], ids=[*(f"bn{n}" for n in range(2, 8)), *(f"bprime{n}" for n in range(6, 9)),
+        "no-edges", "comma-labels"])
+def test_json_matches_json_dumps(make):
+    g = make()
+    assert graphs.to_json(g) == _reference_json(g)
+
+
 def test_exports_deterministic():
     a = graphs.to_json(graphs.build_bn(4))
     b = graphs.to_json(graphs.build_bn(4))
@@ -171,9 +222,13 @@ def test_exports_deterministic():
 @pytest.mark.parametrize("text,sha256", [
     (lambda: graphs.to_dot(graphs.build_bn(5)),
      "34a69b3578aa625b4fc77b407c0392c409c05c39525d744709eab2bb047cae6e"),
+    (lambda: graphs.to_json(graphs.build_bn(6)),
+     "dc3bdbd3cdf5902f5a24342df2e0f89ab76404e651122a7303b5b3dfcfd23edc"),
+    (lambda: graphs.to_dot(graphs.build_bprime(7)),
+     "a2634948f2bbb8ba07aa66838ec577d9d39e529f51663b0d08907e68ad6dddee"),
     (lambda: graphs.to_json(graphs.build_bprime(7)),
      "9d1427ec830ba7296d83353ebb79bed84129c2ae1df558e89662465c570d6993"),
-], ids=["bn5.dot", "bprime7.json"])
+], ids=["bn5.dot", "bn6.json", "bprime7.dot", "bprime7.json"])
 def test_export_bytes_pinned(text, sha256):
     assert hashlib.sha256(text().encode("utf-8")).hexdigest() == sha256
 
