@@ -2,15 +2,18 @@
 
 Three independent evaluations of the same quantity: the parity
 recurrences iterated from the n = 6 base drawing, the unrolled sum with
-one polynomial term per generation, and the factored bracket form.  All
-arithmetic is arbitrary-precision integers or exact rationals; every
-division is checked to leave no remainder, and the table builder
-compares the three evaluations row by row.
+one polynomial term per generation, and the factored bracket form.  One
+walk over the generations advances all three a step at a time, so a
+table to n_max costs one pass, linear in n_max.  All arithmetic is
+arbitrary-precision integers or exact rationals; every division is
+checked to leave no remainder, and the table builder compares the three
+evaluations row by row.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -104,14 +107,36 @@ def recurrence_odd(n: int, nu_prime: int) -> int:
     return n * n * nu_prime + term
 
 
+def _walk(n_max: int):
+    """Yield (n, nu(D'_n), unrolled sum, bracket) for n = 7..n_max; each route
+    steps one generation from its own state and reads no other route's value.
+    The bracket's running part gains 1/(3 (n-4)!) once n is yielded."""
+    vprime, total, partial = NU_DPRIME6, NU_D6, Fraction(127, 300)
+    for n in range(7, n_max + 1):
+        vprime = recurrence_even(n - 1, vprime) if n % 2 else recurrence_odd(n - 1, vprime)
+        if n % 2:
+            poly = 3 * n**4 - 25 * n**3 + 75 * n**2 - 95 * n + 42
+            term = _exact_div(factorial(n - 1) * poly, 24, "odd generation term")
+        else:
+            poly = 3 * n**5 - 28 * n**4 + 103 * n**3 - 188 * n**2 + 164 * n - 48
+            term = _exact_div(factorial(n - 2) * poly, 24, "even generation term")
+            partial += (Fraction(1, 8 * factorial(n - 3))
+                        - Fraction(1, 4 * factorial(n - 2))
+                        + Fraction(1, 4 * factorial(n - 1) * (n - 1)))
+        total = (n - 1) ** 2 * total + term
+        yield n, vprime, total, partial + Fraction(5, 24 * factorial(n - 4))
+        partial += Fraction(1, 3 * factorial(n - 4))
+
+
+def _last(n: int) -> tuple[int, int, int, Fraction]:
+    return deque(_walk(n), maxlen=1).pop()
+
+
 def nu_dprime(n: int) -> int:
     """Per-sector crossing bound, iterated from the n = 6 base."""
     if n < 6:
         raise ValueError(f"recurrence starts at n=6, got {n}")
-    val = NU_DPRIME6
-    for k in range(6, n):
-        val = recurrence_even(k, val) if k % 2 == 0 else recurrence_odd(k, val)
-    return val
+    return NU_DPRIME6 if n == 6 else _last(n)[1]
 
 
 def nu_dn(n: int) -> int:
@@ -123,39 +148,26 @@ def summed_bound(n: int) -> int:
     """Unrolled form: scaled base total plus one term per generation."""
     if n < 7:
         raise ValueError(f"unrolled form starts at n=7, got {n}")
-    fn1 = factorial(n - 1)
-    total = (fn1 // factorial(5)) ** 2 * NU_D6
-    for i in range(7, n + 1, 2):
-        poly = 3 * i**4 - 25 * i**3 + 75 * i**2 - 95 * i + 42
-        term = _exact_div(factorial(i - 1) * poly, 24, "odd generation term")
-        total += (fn1 // factorial(i - 1)) ** 2 * term
-    for i in range(8, n + 1, 2):
-        poly = 3 * i**5 - 28 * i**4 + 103 * i**3 - 188 * i**2 + 164 * i - 48
-        term = _exact_div(factorial(i - 2) * poly, 24, "even generation term")
-        total += (fn1 // factorial(i - 1)) ** 2 * term
-    return total
+    return _last(n)[2]
 
 
 def bracket(n: int) -> Fraction:
     """The exact coefficient of ((n-1)!)^2 in the factored bound."""
     if n < 7:
         raise ValueError(f"bracket form starts at n=7, got {n}")
-    b = Fraction(127, 300) + Fraction(5, 24 * factorial(n - 4))
-    for i in range(3, n - 4):
-        b += Fraction(1, 3 * factorial(i))
-    for i in range(8, n + 1, 2):
-        b += (Fraction(1, 8 * factorial(i - 3))
-              - Fraction(1, 4 * factorial(i - 2))
-              + Fraction(1, 4 * factorial(i - 1) * (i - 1)))
-    return b
+    return _last(n)[3]
+
+
+def _scaled_bracket(n: int, b: Fraction) -> int:
+    v = factorial(n - 1) ** 2 * b
+    if v.denominator != 1:
+        raise ArithmeticError(f"bracket bound at n={n} is not an integer: {v}")
+    return int(v)
 
 
 def bracket_bound(n: int) -> int:
     """((n-1)!)^2 times the bracket; must come out a whole number."""
-    v = factorial(n - 1) ** 2 * bracket(n)
-    if v.denominator != 1:
-        raise ArithmeticError(f"bracket bound at n={n} is not an integer: {v}")
-    return int(v)
+    return _scaled_bracket(n, bracket(n))
 
 
 @dataclass(frozen=True)
@@ -175,11 +187,8 @@ def bound_table(n_max: int) -> list[BoundRow]:
     if not 7 <= n_max <= TABLE_LIMIT:
         raise ValueError(f"n_max must lie in [7, {TABLE_LIMIT}], got {n_max}")
     rows = []
-    vprime = NU_DPRIME6
-    for k in range(6, n_max):
-        vprime = recurrence_even(k, vprime) if k % 2 == 0 else recurrence_odd(k, vprime)
-        n = k + 1
-        row = BoundRow(n, 6 * vprime, summed_bound(n), bracket_bound(n))
+    for n, vprime, total, b in _walk(n_max):
+        row = BoundRow(n, 6 * vprime, total, _scaled_bracket(n, b))
         if not row.nu_recurrence == row.nu_sum == row.nu_bracket:
             raise ArithmeticError(
                 f"bound evaluations diverge first at n={n}: "

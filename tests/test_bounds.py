@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from bubblecross import bounds
+from bubblecross import bounds, cli
 
 
 def test_base_values():
@@ -73,6 +74,67 @@ def test_triple_equality_to_30():
     for row in rows:
         assert row.nu_recurrence == row.nu_sum == row.nu_bracket
         assert row.bound % 6 == 0
+
+
+def _reference_summed(n):
+    """The unrolled sum term by term, each scaled by ((n-1)!/(i-1)!)^2."""
+    fn1 = factorial(n - 1)
+    total = (fn1 // factorial(5)) ** 2 * 5196
+    for i in range(7, n + 1, 2):
+        term = factorial(i - 1) * (3 * i**4 - 25 * i**3 + 75 * i**2 - 95 * i + 42)
+        assert term % 24 == 0
+        total += (fn1 // factorial(i - 1)) ** 2 * (term // 24)
+    for i in range(8, n + 1, 2):
+        term = factorial(i - 2) * (3 * i**5 - 28 * i**4 + 103 * i**3 - 188 * i**2 + 164 * i - 48)
+        assert term % 24 == 0
+        total += (fn1 // factorial(i - 1)) ** 2 * (term // 24)
+    return total
+
+
+def _reference_bracket(n):
+    """The bracket summed from scratch over both of its ranges."""
+    b = Fraction(127, 300) + Fraction(5, 24 * factorial(n - 4))
+    for i in range(3, n - 4):
+        b += Fraction(1, 3 * factorial(i))
+    for i in range(8, n + 1, 2):
+        b += (Fraction(1, 8 * factorial(i - 3))
+              - Fraction(1, 4 * factorial(i - 2))
+              + Fraction(1, 4 * factorial(i - 1) * (i - 1)))
+    return b
+
+
+def test_walk_matches_direct_forms():
+    rows = bounds.bound_table(60)
+    assert [r.n for r in rows] == list(range(7, 61))
+    for row in rows:
+        n = row.n
+        assert row.nu_sum == bounds.summed_bound(n) == _reference_summed(n)
+        assert bounds.bracket(n) == _reference_bracket(n)
+        assert row.nu_bracket == factorial(n - 1) ** 2 * _reference_bracket(n)
+
+
+@pytest.mark.parametrize("n_max,render,sha256", [
+    (50, bounds.table_csv, "d390dae202738845008ad0ffa3dcb9fb2dcabdc33bd2668f93750a0d62dcafdf"),
+    (50, bounds.table_json, "3c6af29bba65cc1882e197fe6a9831d9ca931af436b91807e630e250cf432129"),
+    (200, bounds.table_csv, "07853ae6834acfec6f8f33ef9a4ecf63e17d5b7865a0371a920788ce84041c2a"),
+    (200, bounds.table_json, "fc74a44d9ade5f6f76ca22fbf9ac2041dfafecae157eb9fd42c4c85323aa34f9"),
+], ids=["bounds50.csv", "bounds50.json", "bounds200.csv", "bounds200.json"])
+def test_table_bytes_pinned(n_max, render, sha256):
+    text = render(bounds.bound_table(n_max))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("name,value", [
+    ("recurrence_even", lambda n, nu_prime, step=bounds.recurrence_even: step(n, nu_prime) + 1),
+    ("NU_D6", bounds.NU_D6 + 1),
+], ids=["recurrence", "sum-seed"])
+def test_divergence_names_first_row(monkeypatch, capsys, name, value):
+    monkeypatch.setattr(bounds, name, value)
+    with pytest.raises(ArithmeticError, match="diverge first at n=7"):
+        bounds.bound_table(8)
+    assert cli.main(["bounds", "--n-max", "8"]) == 1
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and "diverge first at n=7" in err
 
 
 def test_square_multiplier_between_generations():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import bubblecross
 from bubblecross import graphs
+from bubblecross.config import TABLE_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +29,4 @@ def test_render_demo_artifacts(tmp_path):
 def test_run_all_checks():
     proc = run_script("run_all_checks.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"bounds: triple equality holds for n=7..{TABLE_LIMIT} in " in proc.stdout
