@@ -1,21 +1,39 @@
 #!/usr/bin/env python
 """Run every verification suite plus the bound table and print a summary.
 
-The bound table is checked through `TABLE_LIMIT`, and the script prints
+The first line reports one cold import of `bubblecross.cli`, made by a
+fresh interpreter with this process's environment (and so its
+PYTHONPATH): its time and the `bubblecross.*` modules it loaded.  The
+bound table is checked through `TABLE_LIMIT`, and the script prints
 the range and the seconds it took.  Exits nonzero if any suite fails or
 the table's three evaluations ever disagree.  The heavy suite is lemma45,
 the sweep over every lost-side plan through n=14; the whole run takes a
 few seconds.
 """
 
+import subprocess
 import sys
 import time
 
 from bubblecross import bounds, verify
 from bubblecross.config import DEFAULT_SEED, TABLE_LIMIT
 
+IMPORT_PROBE = (
+    "import sys, time; t = time.perf_counter(); import bubblecross.cli; "
+    "print(time.perf_counter() - t, "
+    "*sorted(m for m in sys.modules if m.startswith('bubblecross')))"
+)
+
+
+def cold_import_line() -> str:
+    seconds, *loaded = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                                      text=True, check=True).stdout.split()
+    return (f"cold import: bubblecross.cli in {float(seconds) * 1000:.1f} ms, "
+            f"loads {', '.join(loaded)}")
+
 
 def main() -> int:
+    print(cold_import_line())
     failures = 0
     for name in sorted(verify.SUITES):
         start = time.perf_counter()

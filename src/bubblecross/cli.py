@@ -5,23 +5,36 @@ Exit codes: 0 on success, 1 when a property or invariant check fails,
 2 for usage and configuration errors.  Identical invocations (including
 the seed) produce byte-identical artifacts, and a failed write leaves no
 partial file.
+
+Importing this module loads no layer.  Running a subcommand first
+builds the parser, which loads `drawing` and `verify` for the `--policy`,
+`--split` and suite choices (`verify` brings `graphs`, `mesh` and
+`perms`), and then the handler's own layer: `graphs` for `graph`, `mesh`
+for `mesh`, `verify` for `verify`, `bounds` for `bounds` and `drawing`
+for `trace`.  Only `bounds` adds a module the parser did not load.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bounds, drawing, graphs, mesh, verify
 from .config import DEFAULT_SEED, GENERATION_GUARD
 from .errors import DimensionGuardError, StateInvariantError
+
+if TYPE_CHECKING:
+    import argparse
 
 OUT_DIR_ENV = "BUBBLECROSS_OUT_DIR"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    from . import drawing, verify
+
     parser = argparse.ArgumentParser(
         prog="bubblecross",
         description="Crossing-count toolkit for bubble-sort graphs.",
@@ -91,6 +104,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_graph(args) -> int:
+    from . import graphs
+
     builder = graphs.build_bprime if args.bprime else graphs.build_bn
     g = builder(args.n)
     text = graphs.to_dot(g) if args.format == "dot" else graphs.to_json(g)
@@ -102,6 +117,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    from . import mesh
+
     try:
         ks = tuple(int(x) for x in args.P.split(","))
     except ValueError:
@@ -122,6 +139,8 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_suite(args.suite, seed=args.seed)
     for line in report.lines:
         print(line)
@@ -129,6 +148,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
     rows = bounds.bound_table(args.n_max)
     text = bounds.table_csv(rows) if args.format == "csv" else bounds.table_json(rows)
     _emit(text, args.output)
@@ -140,6 +161,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_trace(args) -> int:
     if not 7 <= args.to <= GENERATION_GUARD:
         raise DimensionGuardError(f"--to must lie in 7..{GENERATION_GUARD}, got {args.to}")
+    from . import drawing
+
     policy = drawing.make_policy(args.policy, args.seed)
     gens = drawing.run_generations(args.to, policy, split=args.split)
     text = drawing.trace_csv(gens) if args.format == "csv" else drawing.snapshot_json(gens[-1])

@@ -137,6 +137,21 @@ def test_divergence_names_first_row(monkeypatch, capsys, name, value):
     assert "invariant failure" in err and "diverge first at n=7" in err
 
 
+def test_fractional_bracket_is_an_invariant_failure(monkeypatch, capsys):
+    walk = bounds._walk
+
+    def half_off_at_8(n_max):
+        for n, vprime, total, b in walk(n_max):
+            yield n, vprime, total, (b + Fraction(1, 2 * factorial(n - 1) ** 2) if n == 8 else b)
+
+    monkeypatch.setattr(bounds, "_walk", half_off_at_8)
+    with pytest.raises(ArithmeticError, match="n=8 is not an integer"):
+        bounds.bound_table(8)
+    assert cli.main(["bounds", "--n-max", "8"]) == 1
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and "n=8 is not an integer" in err
+
+
 def test_square_multiplier_between_generations():
     # the inherited crossings scale by n^2 at each step
     for n in range(6, 12):

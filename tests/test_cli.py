@@ -93,7 +93,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     def failing(name, seed):
         return verify.Report(name, False, 1, [f"{name}: FAIL forced counterexample"])
 
-    monkeypatch.setattr(cli.verify, "run_suite", failing)
+    monkeypatch.setattr(verify, "run_suite", failing)
     code, out, _ = run(capsys, "verify", "planarity")
     assert code == 1
     assert "FAIL" in out
@@ -146,10 +146,19 @@ def test_trace_guard(capsys):
 
 
 def test_cli_import_leaves_networkx_unloaded():
+    # Neither the package nor the CLI module loads a layer (or networkx) on import.
     src = str(Path(bubblecross.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import bubblecross.cli, sys; sys.exit('networkx' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    layers = {f"bubblecross.{m}"
+              for m in ("bounds", "drawing", "graphs", "mesh", "perms", "verify")}
+    for target in ("bubblecross", "bubblecross.cli"):
+        code = f"import {target}, sys; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert target in loaded
+        assert not layers & loaded, target
+        assert "networkx" not in loaded, target
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

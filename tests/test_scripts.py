@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,7 @@ def test_run_all_checks():
     proc = run_script("run_all_checks.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert f"bounds: triple equality holds for n=7..{TABLE_LIMIT} in " in proc.stdout
+    # the cold import of the CLI loads no layer module
+    assert re.fullmatch(r"cold import: bubblecross\.cli in \d+\.\d ms, loads bubblecross, "
+                        r"bubblecross\.cli, bubblecross\.config, bubblecross\.errors",
+                        proc.stdout.splitlines()[0])
