@@ -9,7 +9,7 @@ Importing the package loads no layer: each name in `_EXPORTS` is taken
 from its module on first use (PEP 562) and then cached in this namespace.
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 _EXPORTS = {
     "bounds": (
@@ -46,10 +46,10 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return import_module(f".{name}", __name__)
+        return _import_module(f".{name}", __name__)
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    value = getattr(_import_module(f".{_SOURCE[name]}", __name__), name)
     globals()[name] = value
     return value
 

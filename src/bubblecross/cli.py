@@ -6,35 +6,27 @@ Exit codes: 0 on success, 1 when a property or invariant check fails,
 the seed) produce byte-identical artifacts, and a failed write leaves no
 partial file.
 
-Importing this module loads no layer.  Running a subcommand first
-builds the parser, which loads `drawing` and `verify` for the `--policy`,
-`--split` and suite choices (`verify` brings `graphs`, `mesh` and
-`perms`), and then the handler's own layer: `graphs` for `graph`, `mesh`
-for `mesh`, `verify` for `verify`, `bounds` for `bounds` and `drawing`
-for `trace`.  Only `bounds` adds a module the parser did not load.
+Importing this module and building its parser load no layer; each
+subcommand loads only what its handler uses: `graph` loads `graphs` and
+`perms`, `mesh` loads `mesh`, `bounds` loads `bounds` and `mesh`, `trace`
+loads `drawing` and `perms`, and `verify` loads `verify` and with it
+`drawing`, `graphs`, `mesh` and `perms`.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .config import DEFAULT_SEED, GENERATION_GUARD
+from .config import DEFAULT_SEED, GENERATION_GUARD, POLICIES, SEED_SPLITS, SUITE_NAMES
 from .errors import DimensionGuardError, StateInvariantError
-
-if TYPE_CHECKING:
-    import argparse
 
 OUT_DIR_ENV = "BUBBLECROSS_OUT_DIR"
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    from . import drawing, verify
-
     parser = argparse.ArgumentParser(
         prog="bubblecross",
         description="Crossing-count toolkit for bubble-sort graphs.",
@@ -57,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--output", "-o")
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("suite", choices=sorted(verify.SUITES))
+    v.add_argument("suite", choices=SUITE_NAMES)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     b = sub.add_parser("bounds", help="emit the exact bound table")
@@ -68,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trace", help="trace the replacement state machine")
     t.add_argument("--to", type=int, required=True,
                    help=f"target generation, 7..{GENERATION_GUARD}")
-    t.add_argument("--policy", choices=sorted(drawing.POLICIES), default="fixed")
+    t.add_argument("--policy", choices=sorted(POLICIES), default="fixed")
     t.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    t.add_argument("--split", choices=drawing.SEED_SPLITS, default="alternating")
+    t.add_argument("--split", choices=SEED_SPLITS, default="alternating")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--output", "-o")
     return parser

@@ -1,4 +1,5 @@
-"""Shared defaults: dimension guards and the fixed seed for randomized suites."""
+"""Shared defaults: dimension guards, the fixed seed for randomized suites,
+and the names the command line offers as choices."""
 
 DEFAULT_SEED = 1729
 
@@ -17,3 +18,10 @@ GENERATION_GUARD = 200
 # Bound table rows grow like ((n-1)!)^2 in digit count; one walk over the
 # generations builds the table to 200 in about 0.02 s on a 2-vCPU Xeon.
 TABLE_LIMIT = 200
+
+# Kept here so that building the command line's parser loads no layer.
+# `drawing` takes its policy names from here; tests check the split and
+# suite names against `drawing` and `verify`.
+POLICIES = ("fixed", "roundrobin", "random")
+SEED_SPLITS = ("alternating", "all-23", "all-32")
+SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "lemma45", "planarity", "symmetry")

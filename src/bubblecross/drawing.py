@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
-from .config import DEFAULT_SEED, GENERATION_GUARD
+from .config import DEFAULT_SEED, GENERATION_GUARD, POLICIES
 from .errors import DimensionGuardError, StateInvariantError
 from .perms import Perm, expand_vertex, in_bprime
 
@@ -133,8 +133,6 @@ def replace_vertex(n: int, s: VertexState, plan: ReplacementPlan) -> list[Vertex
 
 # Maps a parent (n, state) to the sides of the bunches children 2..n lose.
 SideOrder = Callable[[int, VertexState], list[Side]]
-
-POLICIES = ("fixed", "roundrobin", "random")
 
 
 def make_policy(name: str, seed: int = DEFAULT_SEED) -> SideOrder:

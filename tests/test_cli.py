@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bubblecross
 from bubblecross import cli
 from bubblecross.config import GENERATION_GUARD
@@ -145,20 +147,45 @@ def test_trace_guard(capsys):
     assert f"7..{GENERATION_GUARD}" in err
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # Neither the package nor the CLI module loads a layer (or networkx) on import.
+def _loaded_after(code):
     src = str(Path(bubblecross.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    layers = {f"bubblecross.{m}"
-              for m in ("bounds", "drawing", "graphs", "mesh", "perms", "verify")}
-    for target in ("bubblecross", "bubblecross.cli"):
-        code = f"import {target}, sys; print(*sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        loaded = set(proc.stdout.split())
-        assert target in loaded
-        assert not layers & loaded, target
-        assert "networkx" not in loaded, target
+    proc = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+LAYERS = ("bounds", "drawing", "graphs", "mesh", "perms", "verify")
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # Neither the package nor the CLI module, nor building the CLI's parser,
+    # loads a layer (or networkx).
+    for code in ("import bubblecross", "import bubblecross.cli",
+                 "from bubblecross import cli; cli.build_parser()"):
+        loaded = _loaded_after(code)
+        assert "bubblecross" in loaded
+        assert not {f"bubblecross.{m}" for m in LAYERS} & loaded, code
+        assert "networkx" not in loaded, code
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["graph", "--n", "4"], {"graphs", "perms"}),
+    (["mesh", "--n", "6", "--a", "1", "--P", "2,4,5,3"], {"mesh"}),
+    (["bounds", "--n-max", "8"], {"bounds", "mesh"}),
+    (["trace", "--to", "8"], {"drawing", "perms"}),
+    (["verify", "lemma2"], {"drawing", "graphs", "mesh", "perms", "verify"}),
+], ids=["graph", "mesh", "bounds", "trace", "verify"])
+def test_subcommand_loads_only_its_layers(argv, layers):
+    loaded = _loaded_after(f"from bubblecross import cli; assert cli.main({argv!r}) == 0")
+    assert {m for m in LAYERS if f"bubblecross.{m}" in loaded} == layers
+
+
+def test_choice_names_match_their_layers():
+    from bubblecross import config, drawing, verify
+
+    assert drawing.SEED_SPLITS == config.SEED_SPLITS
+    assert config.SUITE_NAMES == tuple(sorted(verify.SUITES))
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -44,6 +44,7 @@ def test_star_import_binds_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(bubblecross, "no_such_name")
+    assert not hasattr(bubblecross, "import_module")
 
 
 def test_readme_library_example_runs():
