@@ -3,7 +3,9 @@
 
 The first line reports one cold import of `bubblecross.cli`, made by a
 fresh interpreter with this process's environment (and so its
-PYTHONPATH): its time and the `bubblecross.*` modules it loaded.  The
+PYTHONPATH): its time and the `bubblecross.*` modules it loaded.  One
+`graphs:` line times `build_bn(8)`, `build_bprime(8)` and
+`symmetry_classes(6)`, sizes that keep the whole run short.  The
 bound table is checked through `TABLE_LIMIT`, and the script prints
 the range and the seconds it took.  Exits nonzero if any suite fails or
 the table's three evaluations ever disagree.  The heavy suite is lemma45,
@@ -15,7 +17,7 @@ import subprocess
 import sys
 import time
 
-from bubblecross import bounds, verify
+from bubblecross import bounds, graphs, verify
 from bubblecross.config import DEFAULT_SEED, TABLE_LIMIT
 
 IMPORT_PROBE = (
@@ -32,6 +34,18 @@ def cold_import_line() -> str:
             f"loads {', '.join(loaded)}")
 
 
+def _seconds(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def graphs_line() -> str:
+    return (f"graphs: build_bn(8) {_seconds(graphs.build_bn, 8):.2f}s, "
+            f"build_bprime(8) {_seconds(graphs.build_bprime, 8):.2f}s, "
+            f"symmetry_classes(6) {_seconds(graphs.symmetry_classes, 6):.2f}s")
+
+
 def main() -> int:
     print(cold_import_line())
     failures = 0
@@ -45,6 +59,7 @@ def main() -> int:
               f"in {seconds:.1f}s")
         failures += 0 if report.passed else 1
 
+    print(graphs_line())
     start = time.perf_counter()
     rows = bounds.bound_table(TABLE_LIMIT)
     seconds = time.perf_counter() - start

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -90,67 +92,105 @@ class LabeledGraph:
         return [(labels[r], labels[q]) for r, q in self._edges()]
 
 
-def _swap_rank(r: int, c: tuple[int, ...], i: int, place: list[int]) -> int:
-    """Rank after swapping positions i, i + 1 of the permutation with rank r
-    and Lehmer code c, digit i weighing place[i] = (n - 1 - i)!.  Only digits
-    i and i + 1 change: an ascent (c[i] <= c[i + 1]) becomes
-    (c[i + 1] + 1, c[i]) and a descent becomes (c[i + 1], c[i] - 1)."""
-    a, b = c[i], c[i + 1]
-    if a <= b:
-        return r + (b + 1 - a) * place[i] + (a - b) * place[i + 1]
-    return r + (b - a) * place[i] + (a - 1 - b) * place[i + 1]
-
-
-def _adjacency(n: int, swaps, minimum: int = 2) -> dict[int, tuple[int, ...]]:
-    """The one walk over the permutations p of 1..n, in rank order: p gets
-    the sorted ranks reached by swapping positions i, i + 1 for each i in
-    swaps(p), and is left out when swaps(p) is empty."""
+def _check_size(n: int, minimum: int) -> None:
     if n < minimum:
         raise ValueError(f"need n >= {minimum}, got {n}")
     if n > GRAPH_GUARD:
         raise DimensionGuardError(
             f"n={n} exceeds the guard {GRAPH_GUARD} ({factorial(n)} vertices would be built)"
         )
-    place = [factorial(n - 1 - i) for i in range(n)]
-    ranks = list(range(factorial(n)))  # one int object per rank, shared by every row
-    # permutations() and the Lehmer codes both come out in lexicographic order.
-    codes = itertools.product(*(range(k) for k in range(n, 0, -1)))
-    adj: dict[int, tuple[int, ...]] = {}
-    for r, p, c in zip(ranks, itertools.permutations(range(1, n + 1)), codes):
-        if keep := swaps(p):
-            adj[r] = tuple(sorted(ranks[_swap_rank(r, c, i, place)] for i in keep))
-    return adj
+
+
+def _row_runs(n: int, m: int, ranks: Sequence):
+    """The permutations of 1..n in which the symbols 1..m occur in
+    increasing order, by ascending rank, as runs of (ranks, rows): the row
+    of each holds the ascending ranks of its n - 1 neighbours in B_n, all
+    as int objects taken from ranks.
+
+    Block k holds the ranks k(n-1)! onward, led by symbol k + 1.  A leading
+    1 leaves 2..m to order in the rest, a leading 2..m breaks the order, and
+    a larger one leaves 1..m.  A swap at a position i >= 1 keeps the leading
+    symbol, so inside block k the rows are those of B_{n-1}, shifted by
+    k(n-1)!.  The swap at position 0 turns Lehmer digits (k, c) into
+    (c, k - 1) when c < k, an earlier block, and into (c + 1, k) otherwise,
+    a later one, so that neighbour starts or ends the row.  Its rank is
+    a + (k - 1)(n-2)! or a + k(n-2)! + (n-1)!, where a = r + c((n-1)! - (n-2)!)
+    for the rest's rank r, and c < k holds exactly for r < k(n-2)!.
+    """
+    if n == 1:
+        yield [ranks[0]], [()]
+        return
+    m = m if m > 1 else 0  # the order of one symbol constrains nothing
+    F, G = factorial(n - 1), factorial(n - 2)
+    rest_ms = {k: max(m - 1, 0) if k == 0 else m for k in range(n) if not 0 < k < m}
+    rests = {}
+    rest_ranks = list(range(F))  # shared by the rests' rows, as ranks is by these
+    for rest_m in set(rest_ms.values()):
+        runs = list(_row_runs(n - 1, rest_m, rest_ranks))
+        rest_keys = list(itertools.chain.from_iterable(keys for keys, _ in runs))
+        rest_rows = list(itertools.chain.from_iterable(rows for _, rows in runs))
+        rests[rest_m] = rest_keys, rest_rows, [r + r // G * (F - G) for r in rest_keys]
+    for k, rest_m in rest_ms.items():
+        rest_keys, rest_rows, a = rests[rest_m]
+        block = ranks[k * F:(k + 1) * F]
+        get = block.__getitem__
+        split = bisect_left(rest_keys, k * G)
+        earlier = map(ranks.__getitem__, map((k * G - G).__add__, a[:split]))
+        later = map(ranks.__getitem__, map((k * G + F).__add__, a[split:]))
+        yield (list(map(get, rest_keys)),
+               [(q, *map(get, row)) for q, row in zip(earlier, rest_rows[:split])]
+               + [(*map(get, row), q) for q, row in zip(later, rest_rows[split:])])
 
 
 def build_bn(n: int) -> LabeledGraph:
     """The bubble-sort graph on all n! permutations of 1..n."""
-    return LabeledGraph(n, _adjacency(n, lambda p: range(n - 1)))
+    _check_size(n, 2)
+    ranks = list(range(factorial(n)))
+    adj = dict.fromkeys(ranks)  # keyed first, so that filling in the rows never resizes it
+    for keys, rows in _row_runs(n, 0, ranks):
+        adj.update(zip(keys, rows))
+    return LabeledGraph(n, adj)
 
 
-def _bprime_swaps(p: Perm):
-    """Swap positions of p whose edges B'_n keeps: all of them when p is
-    core (1, 2, 3 in increasing order), else those making it core.  Only a
-    swap of two symbols <= 3 reorders 1, 2, 3, and one sorts them only from
-    the orders 2 1 3 and 1 3 2, swapping the adjacent pair 2 1 or 3 2."""
-    i1, i2, i3 = p.index(1), p.index(2), p.index(3)
-    if i1 < i2 < i3:
-        return range(len(p) - 1)
-    if i2 + 1 == i1 < i3:
-        return (i2,)
-    if i1 < i3 == i2 - 1:
-        return (i3,)
-    return ()
+def _kept_mask(n: int, m: int) -> bytes:
+    """Rank -> 1 for the permutations of 1..n, m <= 3, that order 1..m
+    increasingly or reach that order by one swap, by blocks as in _row_runs.
+    A leading 1 leaves 2..m to the rest, a leading 2 needs 1 right after
+    it (the (n-2)! ranks that start its block), a leading 3..m never
+    qualifies, and a larger one leaves 1..m."""
+    if m <= 1:
+        return b"\x01" * factorial(n)
+    rest, tail = factorial(n - 1), factorial(n - 2)
+    return (_kept_mask(n - 1, m - 1) + b"\x01" * tail + bytes((m - 1) * rest - tail)
+            + (_kept_mask(n - 1, m) * (n - m) if n > m else b""))
 
 
 def build_bprime(n: int) -> LabeledGraph:
     """The sixth-part subgraph: edges keep at least one core endpoint.
 
     Vertices are the n!/6 core labels plus every neighbour an included
-    edge reaches; each core vertex keeps its full degree n - 1.
+    edge reaches; each core vertex keeps its full degree n - 1.  A non-core
+    neighbour orders 1, 2, 3 as 2 1 3 or 1 3 2 with the pair out of order
+    adjacent, so exactly one swap reaches the core from it: its row is
+    that one core rank.  Int objects are made for the kept 5/18 of the n!
+    ranks only; one per rank, most of them freed at once, left the small
+    object heap fragmented and raised the peak RSS of a later export.
     """
-    adj = _adjacency(n, _bprime_swaps, minimum=6)
-    core = frozenset(r for r, row in adj.items() if len(row) == n - 1)  # others keep one
-    return LabeledGraph(n, adj, core=core)
+    _check_size(n, 6)
+    kept = _kept_mask(n, 3)
+    ranks: list = [None] * len(kept)  # one int object per vertex, shared by every row
+    for r in itertools.compress(range(len(kept)), kept):
+        ranks[r] = r
+    adj = dict.fromkeys(itertools.compress(ranks, kept))
+    core: list[int] = []
+    for keys, rows in _row_runs(n, 3, ranks):
+        core += keys
+        adj.update(zip(keys, rows))
+    for r in core:
+        for q in adj[r]:
+            if adj[q] is None:
+                adj[q] = (r,)
+    return LabeledGraph(n, adj, core=frozenset(core))
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -208,6 +248,21 @@ class SymmetryResult:
         return len(next(iter(self.classes.values())))
 
 
+def _order_ids(n: int, m: int) -> list[int]:
+    """Rank -> Lehmer rank of the order in which the symbols 1..m occur, for
+    every permutation of 1..n.  A leading symbol s <= m fixes the order's
+    first digit s - 1 and leaves 1..m-1 to order in the rest; a larger one
+    leaves 1..m."""
+    if m <= 1:
+        return [0] * factorial(n)
+    smaller = _order_ids(n - 1, m - 1)
+    same = _order_ids(n - 1, m) if n > m else []
+    out: list[int] = []
+    for s in range(1, n + 1):
+        out += [(s - 1) * factorial(m - 1) + x for x in smaller] if s <= m else same
+    return out
+
+
 def symmetry_classes(n: int) -> SymmetryResult:
     """Partition vertices by the order of the symbols 1..3 and verify that
     the six sector subgraphs are isomorphic under symbol relabeling.
@@ -215,40 +270,55 @@ def symmetry_classes(n: int) -> SymmetryResult:
     The sector of a class takes every edge with at least one endpoint in
     the class; the witness map sending class s to class t relabels symbol
     s[k] to t[k] and fixes everything above 3, which is an automorphism
-    of the whole graph.  Every one of the 30 ordered pairs is compared;
-    the five distinct maps are each shared by six pairs, so each vertex
-    is relabeled once per map.
+    of the whole graph.  Every one of the 30 ordered pairs is compared.
+
+    The comparison runs on ranks.  A relabeling keeps rank order inside a
+    class: where two labels of one class first differ, one of them holds a
+    symbol above 3.  So it sends the i-th rank of class s to the i-th rank
+    of class t, and in (class, index) coordinates it changes classes only.
+    The edges between classes a and b, as index pairs, must then equal
+    those between their images, for each class b the sector of s reaches.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 for the pattern classes, got {n}")
     g = build_bn(n)
-    orders = list(itertools.permutations((1, 2, 3)))
-    order_of = {p: tuple(v for v in p if v <= 3) for p in g.vertices()}
-    cores = {o: {p for p, op in order_of.items() if op == o} for o in orders}
-    sectors: dict[Perm, set[frozenset[Perm]]] = {o: set() for o in orders}
-    for u, v in g.edge_pairs():
-        e = frozenset((u, v))
-        sectors[order_of[u]].add(e)
-        sectors[order_of[v]].add(e)
+    orders = list(itertools.permutations((1, 2, 3)))  # orders[i] has Lehmer rank i
+    order_id = _order_ids(n, 3)
+    index, seen = [], [0] * len(orders)  # rank -> its index among the ranks of its class
+    for o in order_id:
+        index.append(seen[o])
+        seen[o] += 1
+
+    cores: list[list[int]] = [[] for _ in orders]
+    for r in g.adj:
+        cores[order_id[r]].append(r)
+    core_index = [{index[r] for r in c} for c in cores]
+    links = [[set() for _ in orders] for _ in orders]  # [a][b]: (i, j) per edge a_i -- b_j
+    labels = g._labels
+    sectors: list[list[frozenset[Perm]]] = [[] for _ in orders]
+    for r, q in g._edges():
+        a, b = order_id[r], order_id[q]
+        links[a][b].add((index[r], index[q]))
+        links[b][a].add((index[q], index[r]))
+        e = frozenset((labels[r], labels[q]))
+        sectors[a].append(e)
+        if b != a:
+            sectors[b].append(e)
 
     witness_maps: dict[tuple[Perm, Perm], dict[int, int]] = {}
-    images: dict[tuple[int, ...], dict[Perm, Perm]] = {}  # images of 1, 2, 3 -> relabeling
     mismatch = None
-    for o1, o2 in itertools.permutations(orders, 2):
+    for (i1, o1), (i2, o2) in itertools.permutations(enumerate(orders), 2):
         phi = {o1[k]: o2[k] for k in range(3)}
         witness_maps[(o1, o2)] = phi
-        key = (phi[1], phi[2], phi[3])
-        if key not in images:
-            images[key] = {p: tuple(phi.get(v, v) for v in p) for p in order_of}
-        image = images[key]
-        mapped_core = {image[p] for p in cores[o1]}
-        mapped_edges = {frozenset((image[u], image[v])) for u, v in sectors[o1]}
-        if (mapped_core != cores[o2] or mapped_edges != sectors[o2]) and mismatch is None:
+        image = [orders.index(tuple(phi[v] for v in o)) for o in orders]
+        if mismatch is None and (
+                core_index[i1] != core_index[i2]
+                or any(links[i1][b] != links[i2][image[b]] for b in range(len(orders)))):
             mismatch = (o1, o2)
     return SymmetryResult(
         n=n,
-        classes={o: frozenset(c) for o, c in cores.items()},
-        sector_edges={o: frozenset(s) for o, s in sectors.items()},
+        classes={o: frozenset(map(labels.__getitem__, c)) for o, c in zip(orders, cores)},
+        sector_edges={o: frozenset(s) for o, s in zip(orders, sectors)},
         witness_maps=witness_maps,
         mismatch=mismatch,
     )
@@ -266,45 +336,55 @@ def _label_strings(g: LabeledGraph) -> dict[int, str]:
             if r in adj}
 
 
+def _dot_pieces(g: LabeledGraph):
+    """to_dot's text in pieces that share the label strings, so joining them
+    builds no string per vertex or edge.  Every line but the first and last
+    is '  "' + item + '";', and one piece joins each item to the next."""
+    s = _label_strings(g)
+    yield f"graph Bprime{g.n} {{\n" if g.core is not None else f"graph B{g.n} {{\n"
+    first = sep = '  "'
+    for label in s.values():
+        yield sep
+        yield label
+        sep = '";\n  "'
+    for r, q in g._edges():
+        yield sep
+        yield s[r]
+        yield '" -- "'
+        yield s[q]
+        sep = '";\n  "'
+    yield "}\n" if sep == first else '";\n}\n'
+
+
 def to_dot(g: LabeledGraph) -> str:
     """DOT text with lexicographically sorted vertices and edges."""
-    name = f"Bprime{g.n}" if g.core is not None else f"B{g.n}"
-    s = _label_strings(g)
-    lines = [f"graph {name} {{"]
-    lines += [f'  "{label}";' for label in s.values()]
-    lines += [f'  "{s[r]}" -- "{s[q]}";' for r, q in g._edges()]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_pieces(g))
 
 
 def _json_pieces(g: LabeledGraph):
     """to_json's text in pieces that share the label strings, so joining
-    them builds no string per edge.  Each list item follows its separator;
-    a list that got no item closes as []."""
+    them builds no string per edge.  One piece closes each list item and
+    opens the next; a list that got no item closes as []."""
     s = _label_strings(g)
     yield "{\n"
     if g.core is not None:
         yield f'  "core_count": {len(g.core)},\n'
     yield '  "edges": ['
-    sep = "\n"
+    first = sep = '\n    [\n      "'
     for r, q in g._edges():
         yield sep
-        yield '    [\n      "'
         yield s[r]
         yield '",\n      "'
         yield s[q]
-        yield '"\n    ]'
-        sep = ",\n"
-    yield "]" if sep == "\n" else "\n  ]"
+        sep = '"\n    ],\n    [\n      "'
+    yield "]" if sep == first else '"\n    ]\n  ]'
     yield f',\n  "n": {g.n},\n  "vertices": ['
-    sep = "\n"
+    first = sep = '\n    "'
     for label in s.values():
         yield sep
-        yield '    "'
         yield label
-        yield '"'
-        sep = ",\n"
-    yield "]" if sep == "\n" else "\n  ]"
+        sep = '",\n    "'
+    yield "]" if sep == first else '"\n  ]'
     yield "\n}\n"
 
 

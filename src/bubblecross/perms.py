@@ -109,13 +109,18 @@ def expand_vertex(v) -> list[Perm]:
 
 
 def perm_rank(p) -> int:
-    """Lehmer-code rank: the position of p in lexicographic order."""
+    """Lehmer-code rank: the position of p in lexicographic order.
+
+    Each entry's digit is its index in the pool of symbols not yet placed;
+    the digits are read in Horner form, one pool size per step.
+    """
     t = check_perm(p)
-    n = len(t)
+    pool = list(range(1, len(t) + 1))
     r = 0
-    for i, x in enumerate(t):
-        smaller_later = sum(1 for y in t[i + 1:] if y < x)
-        r += smaller_later * factorial(n - 1 - i)
+    for x in t:
+        i = pool.index(x)
+        r = r * len(pool) + i
+        del pool[i]
     return r
 
 
@@ -123,11 +128,13 @@ def perm_unrank(r: int, n: int) -> Perm:
     """Inverse of perm_rank for permutations of 1..n."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not 0 <= r < factorial(n):
+    place = factorial(n)
+    if not 0 <= r < place:
         raise ValueError(f"rank {r} out of range for n={n}")
     pool = list(range(1, n + 1))
     out = []
-    for i in range(n, 0, -1):
-        idx, r = divmod(r, factorial(i - 1))
-        out.append(pool.pop(idx))
+    for size in range(n, 0, -1):
+        place //= size
+        i, r = divmod(r, place)
+        out.append(pool.pop(i))
     return tuple(out)

@@ -134,6 +134,62 @@ def test_symmetry_suite_names_the_failing_pair(monkeypatch):
                                 "onto (1, 3, 2) differs in core or sector")
 
 
+def _label_symmetry(n):
+    # The earlier implementation, on label tuples and frozensets of them.
+    g = graphs.build_bn(n)
+    orders = list(itertools.permutations((1, 2, 3)))
+    order_of = {p: tuple(v for v in p if v <= 3) for p in g.vertices()}
+    cores = {o: {p for p, op in order_of.items() if op == o} for o in orders}
+    sectors = {o: set() for o in orders}
+    for u, v in g.edge_pairs():
+        e = frozenset((u, v))
+        sectors[order_of[u]].add(e)
+        sectors[order_of[v]].add(e)
+    witness_maps = {}
+    mismatch = None
+    for o1, o2 in itertools.permutations(orders, 2):
+        phi = {o1[k]: o2[k] for k in range(3)}
+        witness_maps[(o1, o2)] = phi
+        image = {p: tuple(phi.get(v, v) for v in p) for p in order_of}
+        mapped_core = {image[p] for p in cores[o1]}
+        mapped_edges = {frozenset((image[u], image[v])) for u, v in sectors[o1]}
+        if (mapped_core != cores[o2] or mapped_edges != sectors[o2]) and mismatch is None:
+            mismatch = (o1, o2)
+    return graphs.SymmetryResult(
+        n=n,
+        classes={o: frozenset(c) for o, c in cores.items()},
+        sector_edges={o: frozenset(e) for o, e in sectors.items()},
+        witness_maps=witness_maps,
+        mismatch=mismatch,
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_symmetry_matches_the_label_implementation(n):
+    assert graphs.symmetry_classes(n) == _label_symmetry(n)
+
+
+def _bn5_without(drop):
+    g = graphs.build_bn(5)
+    adj = {q: tuple(x for x in row if x not in drop) for q, row in g.adj.items() if q not in drop}
+    return graphs.LabeledGraph(5, adj)
+
+
+@pytest.mark.parametrize("damaged", [
+    _bn5_without_first_edge,
+    lambda: _bn5_without({0}),
+    lambda: _bn5_without({119}),
+    lambda: _bn5_without(set(range(60, 120))),
+], ids=["edge", "first-vertex", "last-vertex", "half"])
+def test_symmetry_matches_the_label_implementation_on_damaged_graphs(monkeypatch, damaged):
+    # Ranks missing from the graph must not shift the relabeling of the rest.
+    broken = damaged()
+    monkeypatch.setattr(graphs, "build_bn", lambda n: broken)
+    res = graphs.symmetry_classes(5)
+    assert not res.all_isomorphic
+    assert res == _label_symmetry(5)
+
+
 def test_symmetry_guard():
     with pytest.raises(ValueError):
         graphs.symmetry_classes(3)
@@ -246,3 +302,20 @@ def test_sector_counts_cover_all_edges():
     every = set().union(*res.sector_edges.values())
     g = graphs.build_bn(5)
     assert len(every) == g.edge_count
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: graphs.build_bn(n) for n in range(2, 9)),
+    *(lambda n=n: graphs.build_bprime(n) for n in range(6, 10)),
+], ids=[*(f"bn{n}" for n in range(2, 9)), *(f"bprime{n}" for n in range(6, 10))])
+def test_adjacency_ascends(make):
+    g = make()
+    assert list(g.adj) == sorted(g.adj)
+    assert all(list(row) == sorted(row) for row in g.adj.values())
+
+
+def test_bprime9_sizes():
+    g = graphs.build_bprime(9)
+    assert (g.vertex_count, g.edge_count, len(g.core)) == (100800, 262080, 60480)
+    assert all(len(g.adj[r]) == 8 for r in g.core)
+    assert all(len(row) == 1 and row[0] in g.core for r, row in g.adj.items() if r not in g.core)

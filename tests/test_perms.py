@@ -124,3 +124,37 @@ def test_rank_roundtrip(p):
 def test_rank_is_lexicographic(n):
     ordered = list(itertools.permutations(range(1, n + 1)))
     assert [perms.perm_rank(p) for p in ordered] == list(range(factorial(n)))
+
+
+def _lehmer_rank(p):
+    # The earlier definition: count smaller later entries, weigh by factorials.
+    n = len(p)
+    return sum(sum(1 for y in p[i + 1:] if y < x) * factorial(n - 1 - i)
+               for i, x in enumerate(p))
+
+
+def _lehmer_unrank(r, n):
+    pool = list(range(1, n + 1))
+    out = []
+    for i in range(n, 0, -1):
+        idx, r = divmod(r, factorial(i - 1))
+        out.append(pool.pop(idx))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rank_and_unrank_match_the_lehmer_definitions(n):
+    for r, p in enumerate(itertools.permutations(range(1, n + 1))):
+        assert perms.perm_rank(p) == _lehmer_rank(p) == r
+        assert perms.perm_unrank(r, n) == _lehmer_unrank(r, n) == p
+
+
+def test_rank_and_unrank_reject_bad_input():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        perms.perm_unrank(0, 1)
+    for r in (-1, 6):
+        with pytest.raises(ValueError, match=f"rank {r} out of range for n=3"):
+            perms.perm_unrank(r, 3)
+    for p in [(1,), (1, 1, 2), (0, 1, 2), (1, 2, 4)]:
+        with pytest.raises(ValueError):
+            perms.perm_rank(p)

@@ -33,3 +33,7 @@ def test_run_all_checks():
     assert f"bounds: triple equality holds for n=7..{TABLE_LIMIT} in " in proc.stdout
     assert re.fullmatch(r"cold import: bubblecross\.cli in \d+\.\d ms, loads bubblecross\b.*",
                         proc.stdout.splitlines()[0])
+    graphs_lines = [line for line in proc.stdout.splitlines() if line.startswith("graphs:")]
+    assert len(graphs_lines) == 1
+    assert re.fullmatch(r"graphs: build_bn\(8\) \d+\.\d\ds, build_bprime\(8\) \d+\.\d\ds, "
+                        r"symmetry_classes\(6\) \d+\.\d\ds", graphs_lines[0])
