@@ -5,7 +5,9 @@ The first line reports one cold import of `bubblecross.cli`, made by a
 fresh interpreter with this process's environment (and so its
 PYTHONPATH): its time and the `bubblecross.*` modules it loaded.  One
 `graphs:` line times `build_bn(8)`, `build_bprime(8)` and
-`symmetry_classes(6)`, sizes that keep the whole run short.  The
+`symmetry_classes(6)`, sizes that keep the whole run short, and one
+`mesh:` line times `oracle_crossings` on a seeded n=30 spec and
+`mesh_svg` on a seeded n=12 spec.  The
 bound table is checked through `TABLE_LIMIT`, and the script prints
 the range and the seconds it took.  Exits nonzero if any suite fails or
 the table's three evaluations ever disagree.  The heavy suite is lemma45,
@@ -13,11 +15,12 @@ the sweep over every lost-side plan through n=14; the whole run takes a
 few seconds.
 """
 
+import random
 import subprocess
 import sys
 import time
 
-from bubblecross import bounds, graphs, verify
+from bubblecross import bounds, graphs, mesh, verify
 from bubblecross.config import DEFAULT_SEED, TABLE_LIMIT
 
 IMPORT_PROBE = (
@@ -46,6 +49,19 @@ def graphs_line() -> str:
             f"symmetry_classes(6) {_seconds(graphs.symmetry_classes, 6):.2f}s")
 
 
+def _seeded_spec(rng: random.Random, n: int) -> mesh.MeshSpec:
+    ks = list(range(2, n))
+    rng.shuffle(ks)
+    return mesh.MeshSpec(n, rng.randint(0, n - 2), tuple(ks))
+
+
+def mesh_line() -> str:
+    rng = random.Random(DEFAULT_SEED)
+    return (f"mesh: oracle_crossings(n=30) "
+            f"{_seconds(mesh.oracle_crossings, _seeded_spec(rng, 30)):.3f}s, "
+            f"mesh_svg(n=12) {_seconds(mesh.mesh_svg, _seeded_spec(rng, 12)):.3f}s")
+
+
 def main() -> int:
     print(cold_import_line())
     failures = 0
@@ -60,6 +76,7 @@ def main() -> int:
         failures += 0 if report.passed else 1
 
     print(graphs_line())
+    print(mesh_line())
     start = time.perf_counter()
     rows = bounds.bound_table(TABLE_LIMIT)
     seconds = time.perf_counter() - start

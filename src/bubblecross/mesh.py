@@ -9,13 +9,17 @@ sequence P = (k_1, ..., k_{n-2}) is a permutation of {2, ..., n-1}.
 The concrete realization gives family i the direction (-1, i) on the
 left and (+1, i) on the right.  Any slope assignment that increases
 strictly with the family index within a side yields the same counts;
-the geometric oracle accepts custom slopes so that is testable.
+the geometric oracle accepts custom slopes so that is testable.  It
+decides crossings once per pair of families, not per pair of rays, and
+counts the crossing anchor pairs of each family pair by bisection.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -122,32 +126,41 @@ def rays(spec: MeshSpec, slopes=None) -> list[Ray]:
     return out
 
 
-def oracle_crossings(spec: MeshSpec, slopes=None) -> int:
-    """Brute-force count of ray pairs meeting at an interior point.
+def _crossing_families(spec: MeshSpec, slopes=None):
+    """Family pairs whose rays can meet, with the side of dj = jb - ja that does.
 
-    Decides each pair by integer sign tests on the 2x2 intersection
-    system, so the answer is exact.  Rays of one family are parallel and
-    never meet; rays sharing an anchor touch only at the axis and are
-    skipped as adjacent edges.
+    Every ray of a family has the same dx and slope, so the determinant
+    of the 2x2 intersection system, and the signs of the parameters
+    t = dxb*dj/det and s = dxa*dj/det, depend only on the two families
+    and on the sign of dj.  Yields ((dxa, ma, anchors_a), (dxb, mb,
+    anchors_b), det, side) for each pair, earlier family first, where
+    side is the sign of dj that makes t and s both positive.
     """
-    items = [(r.family, r.dx, r.slope, r.anchor) for r in rays(spec, slopes)]
-    total = 0
-    for i in range(len(items)):
-        fa, dxa, ma, ja = items[i]
-        for j in range(i + 1, len(items)):
-            fb, dxb, mb, jb = items[j]
-            if fa == fb or ja == jb:
-                continue
+    families: dict[tuple[int, int, int], list[int]] = {}
+    for r in rays(spec, slopes):
+        families.setdefault((r.family, r.dx, r.slope), []).append(r.anchor)
+    fams = [(dx, m, anchors) for (_, dx, m), anchors in families.items()]
+    for i, (dxa, ma, ja) in enumerate(fams):
+        for dxb, mb, jb in fams[i + 1:]:
             det = dxb * ma - dxa * mb
-            if det == 0:
-                continue
-            dj = jb - ja
-            t_num = dxb * dj
-            s_num = dxa * dj
-            if det < 0:
-                t_num, s_num = -t_num, -s_num
-            if t_num > 0 and s_num > 0:
-                total += 1
+            if det == 0 or (dxb * det > 0) != (dxa * det > 0):
+                continue  # parallel, or t and s have opposite signs for every dj
+            yield (dxa, ma, ja), (dxb, mb, jb), det, 1 if dxb * det > 0 else -1
+
+
+def oracle_crossings(spec: MeshSpec, slopes=None) -> int:
+    """Geometric count of ray pairs meeting at an interior point.
+
+    Decides each pair of families by integer sign tests on the 2x2
+    intersection system, then counts, for each anchor of the earlier
+    family, the later family's anchors on the crossing side, so the
+    answer is exact.  Rays of one family are parallel and never meet;
+    rays sharing an anchor touch only at the axis and are not counted.
+    """
+    total = 0
+    for (_, _, ja), (_, _, jb), _, side in _crossing_families(spec, slopes):
+        for j in ja:
+            total += len(jb) - bisect_right(jb, j) if side > 0 else bisect_left(jb, j)
     return total
 
 
@@ -310,14 +323,17 @@ def mesh_svg(spec: MeshSpec) -> str:
     repeats the exact count.
     """
     rs = rays(spec)
+    found = list(_crossing_families(spec))
+    # t = dxb*dj/det, so L*t is an integer when L is a multiple of every det:
+    # the points scaled by L sort exactly, and X / L rounds as float(Fraction) does
+    L = math.lcm(*(det for *_, det, _ in found))
     points = []
-    for i in range(len(rs)):
-        for j in range(i + 1, len(rs)):
-            if rs[i].family == rs[j].family or rs[i].anchor == rs[j].anchor:
-                continue
-            pt = _intersection_point(rs[i], rs[j])
-            if pt is not None:
-                points.append(pt)
+    for (dxa, ma, ja), (dxb, _, jb), det, side in found:
+        q = dxb * (L // det)
+        for j in ja:
+            for k in jb[bisect_right(jb, j):] if side > 0 else jb[:bisect_left(jb, j)]:
+                lt = (k - j) * q
+                points.append((dxa * lt, j * L + ma * lt))
     count = len(points)
     if count != oracle_crossings(spec):
         raise ArithmeticError("marker count disagrees with the oracle")
@@ -360,7 +376,7 @@ def mesh_svg(spec: MeshSpec) -> str:
         )
     for x, y in sorted(points):
         out.append(
-            f'  <circle cx="{tx(x):.2f}" cy="{ty(y):.2f}" r="2.2" '
+            f'  <circle cx="{tx(x / L):.2f}" cy="{ty(y / L):.2f}" r="2.2" '
             f'fill="red" class="crossing"/>'
         )
     out.append("</svg>")

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,63 @@ def test_oracle_rejects_degenerate_slopes():
         mesh.oracle_crossings(spec, slopes=(3, 3, 1, 2))
     with pytest.raises(ValueError):
         mesh.oracle_crossings(spec, slopes=(1, 2, 3))
+
+
+def _pairwise_oracle(spec, slopes=None):
+    """Reference count: every pair of rays decided on its own."""
+    items = [(r.family, r.dx, r.slope, r.anchor) for r in mesh.rays(spec, slopes)]
+    total = 0
+    for i in range(len(items)):
+        fa, dxa, ma, ja = items[i]
+        for j in range(i + 1, len(items)):
+            fb, dxb, mb, jb = items[j]
+            if fa == fb or ja == jb:
+                continue
+            det = dxb * ma - dxa * mb
+            if det == 0:
+                continue
+            dj = jb - ja
+            t_num = dxb * dj
+            s_num = dxa * dj
+            if det < 0:
+                t_num, s_num = -t_num, -s_num
+            if t_num > 0 and s_num > 0:
+                total += 1
+    return total
+
+
+def _seeded_spec(seed, n):
+    rng = random.Random(seed)
+    ks = list(range(2, n))
+    rng.shuffle(ks)
+    return mesh.MeshSpec(n, rng.randint(0, n - 2), tuple(ks))
+
+
+def test_oracle_matches_pairwise_reference_n6():
+    for a in range(0, 5):
+        for P in itertools.permutations(range(2, 6)):
+            spec = mesh.MeshSpec(6, a, P)
+            assert mesh.oracle_crossings(spec) == _pairwise_oracle(spec), spec
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_oracle_matches_pairwise_reference_seeded(n):
+    for seed in range(3):
+        spec = _seeded_spec(seed, n)
+        assert mesh.oracle_crossings(spec) == _pairwise_oracle(spec), spec
+
+
+@pytest.mark.parametrize("spec,slopes", [
+    (mesh.MeshSpec(7, 3, (4, 2, 6, 3, 5)), (-9, -4, -1, -7, -2)),      # negative
+    (mesh.MeshSpec(7, 2, (6, 3, 2, 5, 4)), (-3, 5, -8, 0, 11)),        # mixed signs
+    (mesh.MeshSpec(8, 0, (7, 2, 5, 3, 6, 4)), (1, 2, 4, 8, 16, 32)),  # increasing
+    (mesh.MeshSpec(8, 6, (3, 7, 2, 6, 4, 5)), (-5, -2, 0, 3, 7, 12)),
+    (mesh.MeshSpec(7, 2, (5, 2, 4, 6, 3)), (-4, 3, -3, 4, 9)),         # ma == -mb
+    (mesh.MeshSpec(8, 3, (2, 7, 4, 6, 3, 5)), (-6, -2, 5, -5, 2, 6)),  # three such pairs
+])
+def test_oracle_matches_pairwise_reference_custom_slopes(spec, slopes):
+    assert mesh.oracle_crossings(spec, slopes) == _pairwise_oracle(spec, slopes)
+    assert mesh.oracle_crossings(spec, slopes) == mesh.total_crossings(spec)
 
 
 def test_ray_families_structure():
@@ -238,3 +297,21 @@ def test_svg_annotation_and_markers():
     assert "crossings=21" in svg
     assert svg.count('class="crossing"') == 21
     assert mesh.mesh_svg(spec) == svg  # deterministic
+
+
+# sha256 of mesh_svg before the per-family-pair rewrite; the first equals
+# the mesh6.svg benchmark golden, the last three come from _seeded_spec(seed, n)
+@pytest.mark.parametrize("spec,sha256", [
+    (mesh.MeshSpec(6, 2, (2, 4, 5, 3)),
+     "51eb30e9c5933ce9d77881b6e9259842bc92652fddd33553eecdd1e12ca2496b"),
+    (mesh.optimal_permutation(12, 5),
+     "ff5c7e42f9aa5f7aa1faf40cbbb77c0da584b0da2c1e7eda333d6f7ee34e32fa"),
+    (mesh.MeshSpec(12, 3, (8, 10, 11, 9, 7, 5, 2, 6, 3, 4)),
+     "2061172bd0b1390a2c374ea23e2c1abe8dc159fa47e4be7b400fa66256947cf6"),
+    (mesh.MeshSpec(16, 6, (11, 5, 8, 14, 12, 9, 10, 6, 4, 7, 13, 3, 2, 15)),
+     "017af7351f1d73c1e1bd306c37fbf8f74bd80bc281517b137250408945e55e3d"),
+    (mesh.MeshSpec(16, 3, (13, 14, 8, 12, 15, 2, 6, 3, 9, 7, 4, 10, 11, 5)),
+     "36b0153f6dcdc63c3b520d2d1ec84fd0d1080c3cf8f928a6ec2ca02ec49a12c1"),
+], ids=["mesh6", "optimal12_5", "seed1_n12", "seed2_n16", "seed3_n16"])
+def test_svg_bytes_pinned(spec, sha256):
+    assert hashlib.sha256(mesh.mesh_svg(spec).encode("utf-8")).hexdigest() == sha256

@@ -37,3 +37,7 @@ def test_run_all_checks():
     assert len(graphs_lines) == 1
     assert re.fullmatch(r"graphs: build_bn\(8\) \d+\.\d\ds, build_bprime\(8\) \d+\.\d\ds, "
                         r"symmetry_classes\(6\) \d+\.\d\ds", graphs_lines[0])
+    mesh_lines = [line for line in proc.stdout.splitlines() if line.startswith("mesh:")]
+    assert len(mesh_lines) == 1
+    assert re.fullmatch(r"mesh: oracle_crossings\(n=30\) \d+\.\d{3}s, "
+                        r"mesh_svg\(n=12\) \d+\.\d{3}s", mesh_lines[0])
